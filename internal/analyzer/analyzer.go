@@ -57,7 +57,6 @@ type config struct {
 	budget     *budget.Budget
 	timeout    time.Duration
 	maxSteps   int64
-	workers    int
 	store      *session.Store
 }
 
@@ -100,12 +99,6 @@ func WithTimeout(d time.Duration) Option { return func(c *config) { c.timeout = 
 // WithMaxSteps caps every phase at n steps (see budget.WithSteps).
 func WithMaxSteps(n int64) Option { return func(c *config) { c.maxSteps = n } }
 
-// WithWorkers sets the worker count for the parallel construction
-// phases (SSA lowering, dependence-graph build): 1 forces sequential
-// builds, 0 (the default) selects GOMAXPROCS. Output is byte-identical
-// either way.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
 // InStore places the analysis' artifacts in an existing session store,
 // sharing cached phases with every other analysis using that store.
 func InStore(st *session.Store) Option { return func(c *config) { c.store = st } }
@@ -143,7 +136,6 @@ func AnalyzeCtx(ctx context.Context, sources map[string]string, opts ...Option) 
 		session.WithContainers(cfg.containers),
 		session.WithEntries(cfg.entries...),
 		session.WithBudget(b),
-		session.WithWorkers(cfg.workers),
 	}
 	if cfg.noPrelude {
 		sopts = append(sopts, session.WithoutPrelude())

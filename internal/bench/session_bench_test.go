@@ -17,18 +17,13 @@ import (
 	"thinslice/internal/session"
 )
 
-// openSession opens a fresh session (own store) over a benchmark.
-func openSession(b *bench.Benchmark, workers int) *session.Session {
-	return session.Open(b.Sources, session.WithWorkers(workers))
-}
-
 // BenchmarkSessionColdBuild measures the full pipeline from sources to
 // dependence graph with an empty store.
 func BenchmarkSessionColdBuild(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := openSession(bm, 1).Graph(); err != nil {
+		if _, err := session.Open(bm.Sources).Graph(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -39,7 +34,7 @@ func BenchmarkSessionColdBuild(b *testing.B) {
 // the backward closure.
 func BenchmarkSessionWarmRequery(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
-	s := openSession(bm, 1)
+	s := session.Open(bm.Sources)
 	seeds := bm.QuerySeeds()[:1]
 	if _, err := s.SliceAll(core.Options{Mode: core.Thin}, seeds); err != nil {
 		b.Fatal(err)
@@ -57,7 +52,7 @@ func BenchmarkSessionWarmRequery(b *testing.B) {
 // a benchmark over one shared build.
 func BenchmarkSessionBatchAllSeeds(b *testing.B) {
 	bm := bench.Generate("nanoxml", 2)
-	s := openSession(bm, 1)
+	s := session.Open(bm.Sources)
 	seeds := bm.QuerySeeds()
 	if _, err := s.Graph(); err != nil {
 		b.Fatal(err)
@@ -71,12 +66,10 @@ func BenchmarkSessionBatchAllSeeds(b *testing.B) {
 	}
 }
 
-// BenchmarkSDGBuildSequential and BenchmarkSDGBuildParallel time the
-// dependence-graph construction alone; their outputs are byte-identical
-// (pinned by the sdg equivalence tests).
-func benchmarkSDGBuild(b *testing.B, workers int) {
+// BenchmarkSDGBuild times the dependence-graph construction alone.
+func BenchmarkSDGBuild(b *testing.B) {
 	bm := bench.Generate("javac", 2)
-	s := openSession(bm, 1)
+	s := session.Open(bm.Sources)
 	prog, err := s.Prog()
 	if err != nil {
 		b.Fatal(err)
@@ -88,18 +81,12 @@ func benchmarkSDGBuild(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sdg.BuildWorkers(prog, pts, nil, workers); err != nil {
-			b.Fatal(err)
-		}
+		sdg.Build(prog, pts)
 	}
 }
 
-func BenchmarkSDGBuildSequential(b *testing.B) { benchmarkSDGBuild(b, 1) }
-func BenchmarkSDGBuildParallel(b *testing.B)  { benchmarkSDGBuild(b, runtime.GOMAXPROCS(0)) }
-
-// BenchmarkLowerSequential and BenchmarkLowerParallel time per-method
-// SSA lowering alone.
-func benchmarkLower(b *testing.B, workers int) {
+// BenchmarkLower times per-method SSA lowering alone.
+func BenchmarkLower(b *testing.B) {
 	bm := bench.Generate("javac", 2)
 	info, err := loader.Load(bm.Sources)
 	if err != nil {
@@ -108,12 +95,9 @@ func benchmarkLower(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ir.LowerWorkers(info, workers)
+		ir.Lower(info)
 	}
 }
-
-func BenchmarkLowerSequential(b *testing.B) { benchmarkLower(b, 1) }
-func BenchmarkLowerParallel(b *testing.B)   { benchmarkLower(b, runtime.GOMAXPROCS(0)) }
 
 // --- recorded benchmark artifact ---
 
@@ -135,21 +119,17 @@ type sessionBenchRow struct {
 	// PtsSolveMS times the context-sensitive points-to solve alone
 	// (difference propagation + online cycle elimination).
 	PtsSolveMS float64 `json:"pts_solve_ms"`
-	// CSRBuildUS is the time one sequential build spends packing the
-	// dependence edges into the CSR arrays, in microseconds (near zero
-	// on the two-pass path, which fills final slots directly).
+	// CSRBuildUS is the time one unbudgeted build spends between its
+	// two passes — the offset prefix sum and the edge-array
+	// allocation — in microseconds.
 	CSRBuildUS float64 `json:"csr_build_us"`
 	// SliceTraverseUS is one warm thin-slice backward traversal over
 	// the CSR graph (artifacts already built), in microseconds.
 	SliceTraverseUS float64 `json:"slice_traverse_us"`
-	// SDG build timings, sequential vs worker-pool. Outputs are
-	// byte-identical; below the work threshold the pool is skipped, so
-	// small programs never pay pool overhead.
-	SDGSeqMS  float64 `json:"sdg_build_sequential_ms"`
-	SDGParMS  float64 `json:"sdg_build_parallel_ms"`
-	LowerSeq  float64 `json:"lower_sequential_ms"`
-	LowerPar  float64 `json:"lower_parallel_ms"`
-	ParWorker int     `json:"parallel_workers"`
+	// SDGBuildMS times one unbudgeted dependence-graph build (the
+	// two-pass construction); LowerMS times one whole-program lowering.
+	SDGBuildMS float64 `json:"sdg_build_sequential_ms"`
+	LowerMS    float64 `json:"lower_sequential_ms"`
 }
 
 // sessionBenchRun is one full measurement sweep at a fixed GOMAXPROCS.
@@ -184,18 +164,18 @@ func timeIt(f func()) float64 {
 }
 
 // measureRow runs one benchmark's full sweep at the current GOMAXPROCS.
-func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
+func measureRow(t *testing.T, name string, scale int) sessionBenchRow {
 	bm := bench.Generate(name, scale)
 	seeds := bm.QuerySeeds()
-	row := sessionBenchRow{Benchmark: name, Scale: scale, Seeds: len(seeds), ParWorker: workers}
+	row := sessionBenchRow{Benchmark: name, Scale: scale, Seeds: len(seeds)}
 
 	row.ColdBuildMS = timeIt(func() {
-		if _, err := openSession(bm, 1).Graph(); err != nil {
+		if _, err := session.Open(bm.Sources).Graph(); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	s := openSession(bm, 1)
+	s := session.Open(bm.Sources)
 	warm, err := s.SliceAll(core.Options{Mode: core.Thin}, seeds[:1])
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +194,7 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 	// Old regime: a fresh pipeline per seed. Sample one cold
 	// build + slice; per-seed cost is that times one.
 	row.PerSeedColdMS = timeIt(func() {
-		fresh := openSession(bm, 1)
+		fresh := session.Open(bm.Sources)
 		if _, err := fresh.SliceAll(core.Options{Mode: core.Thin}, seeds[:1]); err != nil {
 			t.Fatal(err)
 		}
@@ -236,35 +216,8 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 			t.Fatal(err)
 		}
 	})
-	// Sequential and parallel builds are timed in interleaved rounds so
-	// host-load drift during the sweep biases neither side; below the
-	// work threshold both resolve to the same sequential construction
-	// and any recorded delta is measurement noise.
-	bestSeq, bestPar := time.Duration(1<<63-1), time.Duration(1<<63-1)
-	for i := 0; i < 9; i++ {
-		runtime.GC()
-		start := time.Now()
-		if _, err := sdg.BuildWorkers(prog, pts, nil, 1); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < bestSeq {
-			bestSeq = d
-		}
-		runtime.GC()
-		start = time.Now()
-		if _, err := sdg.BuildWorkers(prog, pts, nil, workers); err != nil {
-			t.Fatal(err)
-		}
-		if d := time.Since(start); d < bestPar {
-			bestPar = d
-		}
-	}
-	row.SDGSeqMS = float64(bestSeq) / float64(time.Millisecond)
-	row.SDGParMS = float64(bestPar) / float64(time.Millisecond)
-	g, err := sdg.BuildWorkers(prog, pts, nil, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	row.SDGBuildMS = timeIt(func() { sdg.Build(prog, pts) })
+	g := sdg.Build(prog, pts)
 	row.CSRBuildUS = float64(g.CSRBuildDuration()) / float64(time.Microsecond)
 
 	// Pure traversal: seed nodes already resolved, graph already built.
@@ -280,8 +233,7 @@ func measureRow(t *testing.T, name string, scale, workers int) sessionBenchRow {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row.LowerSeq = timeIt(func() { ir.LowerWorkers(info, 1) })
-	row.LowerPar = timeIt(func() { ir.LowerWorkers(info, workers) })
+	row.LowerMS = timeIt(func() { ir.Lower(info) })
 
 	if row.WarmRequeryUS/1000 > row.ColdBuildMS {
 		t.Errorf("%s: warm re-query (%.1fms) not faster than cold build (%.1fms)",
@@ -304,17 +256,15 @@ func TestRecordSessionBenchmarks(t *testing.T) {
 		HostCPUs: runtime.NumCPU(),
 		Note: "best of 7 per cell, freshly collected heap per round; runs sweep GOMAXPROCS 1 and 4; warm_requery_us and " +
 			"batch_all_seeds_ms are the headline wins (cached sessions skip " +
-			"parse/lower/points-to/SDG); parallel construction is byte-identical to " +
-			"sequential and falls back to the sequential path below a work threshold, " +
-			"so sdg_build_parallel_ms never pays pool overhead on small programs",
+			"parse/lower/points-to/SDG); sdg_build_sequential_ms and lower_sequential_ms " +
+			"time the one construction path each phase has",
 	}
 	const scale = 2
-	const workers = 4
 	for _, gmp := range []int{1, 4} {
 		runtime.GOMAXPROCS(gmp)
 		run := sessionBenchRun{GOMAXPROCS: gmp}
 		for _, name := range []string{"nanoxml", "javac"} {
-			run.Rows = append(run.Rows, measureRow(t, name, scale, workers))
+			run.Rows = append(run.Rows, measureRow(t, name, scale))
 		}
 		report.Runs = append(report.Runs, run)
 	}

@@ -115,13 +115,13 @@ func measureWatchRun(t *testing.T, classes, gmp int) watchBenchRun {
 	seeds := []session.Seed{seed}
 
 	run.ColdBuildMS = timeIt(func() {
-		fresh := session.Open(srcs, session.WithIncremental(), session.WithWorkers(gmp))
+		fresh := session.Open(srcs, session.WithIncremental())
 		if _, err := fresh.SliceAll(core.Options{Mode: core.Thin}, seeds); err != nil {
 			t.Fatal(err)
 		}
 	})
 
-	sess := session.Open(srcs, session.WithIncremental(), session.WithWorkers(gmp))
+	sess := session.Open(srcs, session.WithIncremental())
 	if _, err := sess.SliceAll(core.Options{Mode: core.Thin}, seeds); err != nil {
 		t.Fatal(err)
 	}

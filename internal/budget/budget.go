@@ -179,9 +179,9 @@ func (b *Budget) Phase(p Phase) *Meter {
 }
 
 // Limited reports whether phase p runs under a step cap (as opposed to
-// only cancellation/deadline checks). Parallel construction phases use
-// this to fall back to their sequential form: deterministic truncation
-// under a step cap requires the sequential tick interleaving. Nil-safe.
+// only cancellation/deadline checks). The dependence-graph build uses
+// this to pick its metered single-pass form: deterministic truncation
+// under a step cap requires ticking every step in order. Nil-safe.
 func (b *Budget) Limited(p Phase) bool {
 	return b != nil && b.limitFor(p) > 0
 }

@@ -11,11 +11,11 @@
 // revisions (Diff) yields the transitively affected frontier directly,
 // with no separate closure pass.
 //
-// The session's derivation graph (PR 9) uses the graph three ways: unit
-// keys address per-method IR artifacts in the shared store, Diff
-// computes the changed-symbol frontier after an edit, and TopoBatches
-// schedules re-lowering of the frontier in Kahn-style caller-after-
-// callee batches over the existing worker pools.
+// The session's derivation graph uses the graph two ways: unit keys
+// address per-method IR artifacts in the shared store, and Diff
+// computes the changed-symbol frontier after an edit. The order in
+// which the frontier is re-lowered does not matter: lowering a method
+// reads nothing but the checked program.
 package depgraph
 
 import (
@@ -47,8 +47,7 @@ type Unit struct {
 	// declaration of its own).
 	Synthesized bool
 	// Refs names the units this unit's body calls (deduplicated, sorted
-	// qualified names, declared units only). TopoBatches schedules over
-	// these edges.
+	// qualified names, declared units only).
 	Refs []string
 }
 
@@ -101,7 +100,7 @@ func (h *hasher) sum() string { return hex.EncodeToString(h.h.Sum(nil)) }
 func Build(info *types.Info) *Graph {
 	b := &builder{info: info, classFPs: make(map[*types.ClassInfo]string)}
 	g := &Graph{index: make(map[string]int)}
-	// Same job collection as ir.LowerWorkers: declaration order, with
+	// Same job collection as ir.Lower: declaration order, with
 	// the synthesized default constructor after a class's declared
 	// methods.
 	for _, decl := range info.Prog.Classes {
@@ -658,76 +657,6 @@ func Diff(old, new *Graph) Delta {
 	sort.Strings(d.Added)
 	sort.Strings(d.Removed)
 	return d
-}
-
-// TopoBatches partitions the units named in dirty into Kahn-style
-// batches over the graph's call edges restricted to dirty units:
-// every unit appears after all dirty units it references (callees
-// before callers), so each batch can be re-derived concurrently once
-// the previous batches are done. Call cycles (recursion) are broken
-// deterministically by flushing the remaining units with the smallest
-// in-degree, lowest name first; within a batch units keep graph (=
-// lowering job) order.
-func (g *Graph) TopoBatches(dirty map[string]bool) [][]string {
-	// Restrict to dirty units that exist in this graph, in job order.
-	var members []int
-	inDirty := make(map[string]bool, len(dirty))
-	for i, u := range g.Units {
-		if dirty[u.QName] {
-			members = append(members, i)
-			inDirty[u.QName] = true
-		}
-	}
-	indeg := make(map[string]int, len(members))
-	rdeps := make(map[string][]string, len(members)) // callee → dirty callers
-	for _, i := range members {
-		u := g.Units[i]
-		for _, ref := range u.Refs {
-			if ref == u.QName || !inDirty[ref] {
-				continue
-			}
-			indeg[u.QName]++
-			rdeps[ref] = append(rdeps[ref], u.QName)
-		}
-	}
-	remaining := len(members)
-	done := make(map[string]bool, remaining)
-	var batches [][]string
-	for remaining > 0 {
-		var batch []string
-		for _, i := range members {
-			q := g.Units[i].QName
-			if !done[q] && indeg[q] == 0 {
-				batch = append(batch, q)
-			}
-		}
-		if len(batch) == 0 {
-			// Cycle: flush the not-yet-done unit with minimal in-degree
-			// (first by job order on ties) to break it.
-			best, bestDeg := "", -1
-			for _, i := range members {
-				q := g.Units[i].QName
-				if done[q] {
-					continue
-				}
-				if bestDeg < 0 || indeg[q] < bestDeg {
-					best, bestDeg = q, indeg[q]
-				}
-			}
-			batch = []string{best}
-		}
-		for _, q := range batch {
-			done[q] = true
-			remaining--
-			for _, caller := range rdeps[q] {
-				if !done[caller] {
-					indeg[caller]--
-				}
-			}
-		}
-		batches = append(batches, batch)
-	}
-	return batches
 }
 
 // Fingerprint returns a sha256 digest of the graph's full structure:

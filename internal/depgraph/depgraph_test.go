@@ -164,49 +164,6 @@ func TestDiffAcrossFiles(t *testing.T) {
 	}
 }
 
-func TestTopoBatchesCalleesFirst(t *testing.T) {
-	g := build(t, map[string]string{"a.tj": progA})
-	dirty := map[string]bool{"Util.twice": true, "Util.thrice": true, "Main.main": true}
-	batches := g.TopoBatches(dirty)
-	order := map[string]int{}
-	for i, b := range batches {
-		for _, q := range b {
-			order[q] = i
-		}
-	}
-	if len(order) != len(dirty) {
-		t.Fatalf("batches %v cover %d units, want %d", batches, len(order), len(dirty))
-	}
-	if !(order["Util.twice"] < order["Util.thrice"] && order["Util.thrice"] < order["Main.main"]) {
-		t.Fatalf("batches %v violate callee-before-caller order", batches)
-	}
-}
-
-func TestTopoBatchesBreaksCycles(t *testing.T) {
-	rec := `
-class R {
-  int even(int n) { if (n == 0) { return 1; } return this.odd(n - 1); }
-  int odd(int n) { if (n == 0) { return 0; } return this.even(n - 1); }
-}
-class Main { static void main() { R r = new R(); int x = r.even(4); } }
-`
-	g := build(t, map[string]string{"r.tj": rec})
-	dirty := map[string]bool{"R.even": true, "R.odd": true}
-	batches := g.TopoBatches(dirty)
-	seen := map[string]bool{}
-	for _, b := range batches {
-		for _, q := range b {
-			if seen[q] {
-				t.Fatalf("unit %s scheduled twice in %v", q, batches)
-			}
-			seen[q] = true
-		}
-	}
-	if !seen["R.even"] || !seen["R.odd"] {
-		t.Fatalf("cycle members not all scheduled: %v", batches)
-	}
-}
-
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	g := build(t, map[string]string{"a.tj": progA})
 	data, err := depgraph.EncodeGraph(g)

@@ -26,9 +26,6 @@ type ScalRow struct {
 	CINodes   int
 	CIEdges   int
 	CIBuildMS int64
-	// CIBuildParMS is the same build over a GOMAXPROCS worker pool
-	// (byte-identical output; see sdg.BuildWorkers).
-	CIBuildParMS int64
 	// CISliceUS is the time for one thin slice over the CI graph, in
 	// microseconds ("insignificant compared to the pointer analysis").
 	CISliceUS int64
@@ -57,12 +54,6 @@ func Scalability(scale int) ([]ScalRow, error) {
 		row.CIBuildMS = time.Since(start).Milliseconds()
 		row.CINodes = g.NumNodes()
 		row.CIEdges = g.NumEdges()
-
-		start = time.Now()
-		if _, err := sdg.BuildWorkers(a.Prog, a.Pts, nil, 0); err != nil {
-			return nil, err
-		}
-		row.CIBuildParMS = time.Since(start).Milliseconds()
 
 		seed := representativeSeed(a)
 		if seed != nil {
@@ -122,12 +113,12 @@ func representativeSeed(a *analyzer.Analysis) ir.Instr {
 // WriteScalability renders the comparison.
 func WriteScalability(w io.Writer, rows []ScalRow) {
 	fmt.Fprintf(w, "Scalability (§6.1): CI direct-heap-edge graph vs CS SDG with heap parameters\n")
-	fmt.Fprintf(w, "%-10s | %9s %9s %7s %8s %9s | %9s %10s %9s %7s %9s\n",
-		"bench", "CI-nodes", "CI-edges", "t(ms)", "tpar(ms)", "slice(us)",
+	fmt.Fprintf(w, "%-10s | %9s %9s %7s %9s | %9s %10s %9s %7s %9s\n",
+		"bench", "CI-nodes", "CI-edges", "t(ms)", "slice(us)",
 		"CS-nodes", "heapparams", "CS-edges", "t(ms)", "summ(ms)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s | %9d %9d %7d %8d %9d | %9d %10d %9d %7d %9d\n",
-			r.Name, r.CINodes, r.CIEdges, r.CIBuildMS, r.CIBuildParMS, r.CISliceUS,
+		fmt.Fprintf(w, "%-10s | %9d %9d %7d %9d | %9d %10d %9d %7d %9d\n",
+			r.Name, r.CINodes, r.CIEdges, r.CIBuildMS, r.CISliceUS,
 			r.CSNodes, r.CSHeapParams, r.CSEdges, r.CSBuildMS, r.CSSummaryMS)
 	}
 }

@@ -59,91 +59,39 @@ type LowerUnitsStats struct {
 
 // LowerUnits assembles a program from per-method units: jobs whose
 // qualified name appears in reuse are cloned from the cached payload
-// (relinked against info), all others are lowered fresh over up to
-// workers goroutines. The output is byte-identical to LowerWorkers on
-// the same info as long as every reused payload was produced by
-// lowering a method whose depgraph unit key is unchanged; a payload
-// that fails to decode is an error (the caller falls back to a full
-// lower).
-func LowerUnits(info *types.Info, reuse map[string][]byte, workers int) (*Program, LowerUnitsStats, error) {
+// (relinked against info), all others are lowered fresh. The output is
+// byte-identical to Lower on the same info as long as every reused
+// payload was produced by lowering a method whose depgraph unit key is
+// unchanged; a payload that fails to decode is an error (the caller
+// falls back to a full lower).
+func LowerUnits(info *types.Info, reuse map[string][]byte) (*Program, LowerUnitsStats, error) {
 	var stats LowerUnitsStats
 	jobs := collectJobs(info)
-
 	methods := make([]*Method, len(jobs))
 	diags := make([]Diagnostics, len(jobs))
-
-	// Clone reused units first (cheap, sequential), then fan the
-	// remaining fresh jobs over the pool.
-	var freshJobs []*types.MethodInfo
-	var freshIdx []int
 	l := newLinker(info)
 	for i, mi := range jobs {
-		if data, ok := reuse[mi.QualifiedName()]; ok {
-			m, err := decodeUnit(data, l)
-			if err != nil {
-				return nil, stats, err
-			}
-			if m.Sig != mi {
-				return nil, stats, fmt.Errorf("ir: unit %s relinked to a different signature", mi.QualifiedName())
-			}
-			methods[i] = m
-			stats.Reused++
+		data, ok := reuse[mi.QualifiedName()]
+		if !ok {
+			methods[i], diags[i] = lowerMethod(info, mi)
+			stats.Lowered++
 			continue
 		}
-		freshJobs = append(freshJobs, mi)
-		freshIdx = append(freshIdx, i)
-	}
-	if len(freshJobs) > 0 {
-		fm := make([]*Method, len(freshJobs))
-		fd := make([]Diagnostics, len(freshJobs))
-		lowerAll(info, freshJobs, fm, fd, workers)
-		for k, i := range freshIdx {
-			methods[i], diags[i] = fm[k], fd[k]
+		m, err := decodeUnit(data, l)
+		if err != nil {
+			return nil, stats, err
 		}
-		stats.Lowered = len(freshJobs)
+		if m.Sig != mi {
+			return nil, stats, fmt.Errorf("ir: unit %s relinked to a different signature", mi.QualifiedName())
+		}
+		methods[i] = m
+		stats.Reused++
 	}
 	return assembleProgram(info, jobs, methods, diags), stats, nil
 }
 
-// LowerBatches lowers the named units fresh, batch by batch, and
-// returns the encoded unit payload of every unit that lowered without
-// diagnostics. The session uses it to re-derive a depgraph frontier in
-// Kahn order (callees before callers, per depgraph.TopoBatches), with
-// each batch fanned over up to workers goroutines; units that produce
-// diagnostics are omitted from the result so the assembling LowerUnits
-// call re-lowers them and surfaces the diagnostics. Names that match no
-// lowering job are ignored (the caller's frontier may mention units of
-// the other revision).
-func LowerBatches(info *types.Info, batches [][]string, workers int) map[string][]byte {
-	jobBy := make(map[string]*types.MethodInfo)
-	for _, mi := range collectJobs(info) {
-		jobBy[mi.QualifiedName()] = mi
-	}
-	out := make(map[string][]byte)
-	for _, batch := range batches {
-		var jobs []*types.MethodInfo
-		for _, q := range batch {
-			if mi := jobBy[q]; mi != nil {
-				jobs = append(jobs, mi)
-			}
-		}
-		if len(jobs) == 0 {
-			continue
-		}
-		methods := make([]*Method, len(jobs))
-		diags := make([]Diagnostics, len(jobs))
-		lowerAll(info, jobs, methods, diags, workers)
-		for i, mi := range jobs {
-			if len(diags[i]) == 0 {
-				out[mi.QualifiedName()] = EncodeUnit(methods[i])
-			}
-		}
-	}
-	return out
-}
-
 // collectJobs gathers the lowering jobs in the canonical declaration
-// order shared by LowerWorkers, LowerUnits, and depgraph.Build.
+// order shared by Lower, LowerUnits, and depgraph.Build.
 func collectJobs(info *types.Info) []*types.MethodInfo {
 	var jobs []*types.MethodInfo
 	for _, decl := range info.Prog.Classes {
@@ -163,10 +111,9 @@ func collectJobs(info *types.Info) []*types.MethodInfo {
 	return jobs
 }
 
-// assembleProgram stitches per-job methods into a Program exactly as
-// LowerWorkers does: methods in job order, diagnostics merged in method
-// order, dense program-unique instruction IDs in one deterministic
-// pass.
+// assembleProgram stitches per-job methods into a Program: methods in
+// job order, diagnostics merged in method order, dense program-unique
+// instruction IDs in one deterministic pass.
 func assembleProgram(info *types.Info, jobs []*types.MethodInfo, methods []*Method, diags []Diagnostics) *Program {
 	prog := &Program{Info: info, MethodOf: make(map[*types.MethodInfo]*Method, len(jobs))}
 	for i, mi := range jobs {

@@ -8,6 +8,16 @@ import (
 	"thinslice/internal/papercases"
 )
 
+// paperSources enumerates the paper's running examples.
+func paperSources() map[string]map[string]string {
+	return map[string]map[string]string{
+		"firstnames": {papercases.FirstNamesFile: papercases.FirstNames},
+		"toy":        {papercases.ToyFile: papercases.Toy},
+		"filebug":    {papercases.FileBugFile: papercases.FileBug},
+		"toughcast":  {papercases.ToughCastFile: papercases.ToughCast},
+	}
+}
+
 // lowerJobNames returns every lowered method's qualified name in
 // declaration order.
 func lowerJobNames(p *ir.Program) []string {
@@ -30,7 +40,7 @@ func TestLowerUnitsReassemblesByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold := ir.LowerWorkers(info, 1)
+			cold := ir.Lower(info)
 			want := ir.Sprint(cold)
 
 			if len(cold.Diags) > 0 {
@@ -40,65 +50,70 @@ func TestLowerUnitsReassemblesByteIdentical(t *testing.T) {
 			for _, m := range cold.Methods {
 				reuse[m.Name()] = ir.EncodeUnit(m)
 			}
-			for _, workers := range []int{1, 4} {
-				got, st, err := ir.LowerUnits(info, reuse, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if st.Reused != len(reuse) || st.Lowered != len(cold.Methods)-len(reuse) {
-					t.Fatalf("workers=%d: split %+v, want %d reused", workers, st, len(reuse))
-				}
-				if g := ir.Sprint(got); g != want {
-					t.Fatalf("workers=%d: reassembled program differs\ncold:\n%s\nunits:\n%s", workers, want, g)
-				}
+			got, st, err := ir.LowerUnits(info, reuse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Reused != len(reuse) || st.Lowered != len(cold.Methods)-len(reuse) {
+				t.Fatalf("split %+v, want %d reused", st, len(reuse))
+			}
+			if g := ir.Sprint(got); g != want {
+				t.Fatalf("reassembled program differs\ncold:\n%s\nunits:\n%s", want, g)
 			}
 		})
 	}
 }
 
-// TestLowerBatchesPayloadsMatchColdUnits pins the frontier re-derive
-// path: LowerBatches over an arbitrary split of the job list produces,
-// for every unit, exactly the payload a cold lower encodes — so a
-// session mixing batch-lowered and cached units can never tell them
-// apart. Unknown names must be ignored.
-func TestLowerBatchesPayloadsMatchColdUnits(t *testing.T) {
+// TestLowerUnitsFreshPayloadsMatchColdUnits pins the frontier
+// re-derive path: a LowerUnits call that clones some units and lowers
+// the rest fresh produces, for every unit, exactly the payload a cold
+// lower encodes — so a session publishing freshly lowered units beside
+// cached ones can never tell them apart. Reuse names that match no
+// lowering job must be ignored.
+func TestLowerUnitsFreshPayloadsMatchColdUnits(t *testing.T) {
 	srcs := map[string]string{papercases.FirstNamesFile: papercases.FirstNames}
 	info, err := loader.Load(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := ir.LowerWorkers(info, 1)
-	names := lowerJobNames(cold)
-	if len(names) < 2 {
-		t.Fatalf("fixture too small: %v", names)
-	}
-	// Two batches splitting the list, plus a name from nowhere.
-	mid := len(names) / 2
-	batches := [][]string{append([]string{"NoSuch.unit"}, names[:mid]...), names[mid:]}
-	payloads := ir.LowerBatches(info, batches, 4)
-
+	cold := ir.Lower(info)
 	if len(cold.Diags) > 0 {
 		t.Fatalf("fixture has diagnostics: %v", cold.Diags)
+	}
+	if len(cold.Methods) < 2 {
+		t.Fatalf("fixture too small: %v", lowerJobNames(cold))
 	}
 	want := make(map[string][]byte, len(cold.Methods))
 	for _, m := range cold.Methods {
 		want[m.Name()] = ir.EncodeUnit(m)
 	}
-	if len(payloads) != len(want) {
-		t.Fatalf("got %d payloads, want %d", len(payloads), len(want))
+	// Reuse the first half, lower the second half fresh, plus a name
+	// from nowhere.
+	mid := len(cold.Methods) / 2
+	reuse := map[string][]byte{"NoSuch.unit": want[cold.Methods[0].Name()]}
+	for _, m := range cold.Methods[:mid] {
+		reuse[m.Name()] = want[m.Name()]
 	}
-	for name, p := range payloads {
-		if w, ok := want[name]; !ok {
-			t.Errorf("unexpected unit %s", name)
+	got, st, err := ir.LowerUnits(info, reuse)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Reused != mid || st.Lowered != len(cold.Methods)-mid {
+		t.Fatalf("split %+v, want %d reused and %d lowered", st, mid, len(cold.Methods)-mid)
+	}
+	if len(got.Methods) != len(want) {
+		t.Fatalf("got %d methods, want %d", len(got.Methods), len(want))
+	}
+	for _, m := range got.Methods {
+		p := ir.EncodeUnit(m)
+		if w, ok := want[m.Name()]; !ok {
+			t.Errorf("unexpected unit %s", m.Name())
 		} else if string(p) != string(w) {
-			t.Errorf("unit %s payload differs from cold encoding", name)
+			t.Errorf("unit %s payload differs from cold encoding", m.Name())
 		}
-	}
-
-	// Round-trip: every payload decodes against the same info.
-	for name, p := range payloads {
+		// Round-trip: every payload decodes against the same info.
 		if _, err := ir.DecodeUnit(p, info); err != nil {
-			t.Errorf("unit %s does not decode: %v", name, err)
+			t.Errorf("unit %s does not decode: %v", m.Name(), err)
 		}
 	}
 }
@@ -117,8 +132,8 @@ func TestMapProgramsRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	progA := ir.LowerWorkers(infoA, 1)
-	progB := ir.LowerWorkers(infoB, 1)
+	progA := ir.Lower(infoA)
+	progB := ir.Lower(infoB)
 	names := lowerJobNames(progA)
 
 	if _, err := ir.MapPrograms(progA, progA, names); err != nil {

@@ -163,7 +163,7 @@ type Param struct {
 
 func (i *Param) Def() *Reg                { return i.Dst }
 func (i *Param) Uses() []*Reg             { return nil }
-func (i *Param) EachUse(func(*Reg, Role))     {}
+func (i *Param) EachUse(func(*Reg, Role)) {}
 func (i *Param) UseRoles() []Role         { return nil }
 func (i *Param) replaceUse(old, new *Reg) {}
 func (i *Param) String() string {
@@ -179,7 +179,7 @@ type ConstInt struct {
 
 func (i *ConstInt) Def() *Reg                { return i.Dst }
 func (i *ConstInt) Uses() []*Reg             { return nil }
-func (i *ConstInt) EachUse(func(*Reg, Role))     {}
+func (i *ConstInt) EachUse(func(*Reg, Role)) {}
 func (i *ConstInt) UseRoles() []Role         { return nil }
 func (i *ConstInt) replaceUse(old, new *Reg) {}
 func (i *ConstInt) String() string           { return fmt.Sprintf("%s = const %d", i.Dst, i.Val) }
@@ -193,7 +193,7 @@ type ConstBool struct {
 
 func (i *ConstBool) Def() *Reg                { return i.Dst }
 func (i *ConstBool) Uses() []*Reg             { return nil }
-func (i *ConstBool) EachUse(func(*Reg, Role))     {}
+func (i *ConstBool) EachUse(func(*Reg, Role)) {}
 func (i *ConstBool) UseRoles() []Role         { return nil }
 func (i *ConstBool) replaceUse(old, new *Reg) {}
 func (i *ConstBool) String() string           { return fmt.Sprintf("%s = const %t", i.Dst, i.Val) }
@@ -208,7 +208,7 @@ type ConstStr struct {
 
 func (i *ConstStr) Def() *Reg                { return i.Dst }
 func (i *ConstStr) Uses() []*Reg             { return nil }
-func (i *ConstStr) EachUse(func(*Reg, Role))     {}
+func (i *ConstStr) EachUse(func(*Reg, Role)) {}
 func (i *ConstStr) UseRoles() []Role         { return nil }
 func (i *ConstStr) replaceUse(old, new *Reg) {}
 func (i *ConstStr) String() string           { return fmt.Sprintf("%s = const %q", i.Dst, i.Val) }
@@ -221,7 +221,7 @@ type ConstNull struct {
 
 func (i *ConstNull) Def() *Reg                { return i.Dst }
 func (i *ConstNull) Uses() []*Reg             { return nil }
-func (i *ConstNull) EachUse(func(*Reg, Role))     {}
+func (i *ConstNull) EachUse(func(*Reg, Role)) {}
 func (i *ConstNull) UseRoles() []Role         { return nil }
 func (i *ConstNull) replaceUse(old, new *Reg) {}
 func (i *ConstNull) String() string           { return fmt.Sprintf("%s = null", i.Dst) }
@@ -236,12 +236,12 @@ type Copy struct {
 	Src *Reg
 }
 
-func (i *Copy) Def() *Reg                { return i.Dst }
-func (i *Copy) Uses() []*Reg             { return []*Reg{i.Src} }
-func (i *Copy) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *Copy) Def() *Reg                  { return i.Dst }
+func (i *Copy) Uses() []*Reg               { return []*Reg{i.Src} }
+func (i *Copy) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *Copy) EachUse(f func(*Reg, Role)) { f(i.Src, RoleProducer) }
-func (i *Copy) replaceUse(old, new *Reg) { repl(&i.Src, old, new) }
-func (i *Copy) String() string           { return fmt.Sprintf("%s = copy %s", i.Dst, i.Src) }
+func (i *Copy) replaceUse(old, new *Reg)   { repl(&i.Src, old, new) }
+func (i *Copy) String() string             { return fmt.Sprintf("%s = copy %s", i.Dst, i.Src) }
 
 // BinOp is an arithmetic, comparison, or equality operation.
 type BinOp struct {
@@ -251,9 +251,9 @@ type BinOp struct {
 	X, Y *Reg
 }
 
-func (i *BinOp) Def() *Reg        { return i.Dst }
-func (i *BinOp) Uses() []*Reg     { return []*Reg{i.X, i.Y} }
-func (i *BinOp) UseRoles() []Role { return []Role{RoleProducer, RoleProducer} }
+func (i *BinOp) Def() *Reg                  { return i.Dst }
+func (i *BinOp) Uses() []*Reg               { return []*Reg{i.X, i.Y} }
+func (i *BinOp) UseRoles() []Role           { return []Role{RoleProducer, RoleProducer} }
 func (i *BinOp) EachUse(f func(*Reg, Role)) { f(i.X, RoleProducer); f(i.Y, RoleProducer) }
 func (i *BinOp) replaceUse(old, new *Reg) {
 	repl(&i.X, old, new)
@@ -271,12 +271,12 @@ type UnOp struct {
 	X   *Reg
 }
 
-func (i *UnOp) Def() *Reg                { return i.Dst }
-func (i *UnOp) Uses() []*Reg             { return []*Reg{i.X} }
-func (i *UnOp) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *UnOp) Def() *Reg                  { return i.Dst }
+func (i *UnOp) Uses() []*Reg               { return []*Reg{i.X} }
+func (i *UnOp) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *UnOp) EachUse(f func(*Reg, Role)) { f(i.X, RoleProducer) }
-func (i *UnOp) replaceUse(old, new *Reg) { repl(&i.X, old, new) }
-func (i *UnOp) String() string           { return fmt.Sprintf("%s = %s%s", i.Dst, i.Op, i.X) }
+func (i *UnOp) replaceUse(old, new *Reg)   { repl(&i.X, old, new) }
+func (i *UnOp) String() string             { return fmt.Sprintf("%s = %s%s", i.Dst, i.Op, i.X) }
 
 // StrKind identifies a string intrinsic.
 type StrKind int
@@ -362,7 +362,7 @@ type Input struct {
 
 func (i *Input) Def() *Reg                { return i.Dst }
 func (i *Input) Uses() []*Reg             { return nil }
-func (i *Input) EachUse(func(*Reg, Role))     {}
+func (i *Input) EachUse(func(*Reg, Role)) {}
 func (i *Input) UseRoles() []Role         { return nil }
 func (i *Input) replaceUse(old, new *Reg) {}
 func (i *Input) String() string {
@@ -382,7 +382,7 @@ type New struct {
 
 func (i *New) Def() *Reg                { return i.Dst }
 func (i *New) Uses() []*Reg             { return nil }
-func (i *New) EachUse(func(*Reg, Role))     {}
+func (i *New) EachUse(func(*Reg, Role)) {}
 func (i *New) UseRoles() []Role         { return nil }
 func (i *New) replaceUse(old, new *Reg) {}
 func (i *New) String() string           { return fmt.Sprintf("%s = new %s", i.Dst, i.Class.Name) }
@@ -396,11 +396,11 @@ type NewArray struct {
 	Len  *Reg
 }
 
-func (i *NewArray) Def() *Reg                { return i.Dst }
-func (i *NewArray) Uses() []*Reg             { return []*Reg{i.Len} }
-func (i *NewArray) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *NewArray) Def() *Reg                  { return i.Dst }
+func (i *NewArray) Uses() []*Reg               { return []*Reg{i.Len} }
+func (i *NewArray) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *NewArray) EachUse(f func(*Reg, Role)) { f(i.Len, RoleProducer) }
-func (i *NewArray) replaceUse(old, new *Reg) { repl(&i.Len, old, new) }
+func (i *NewArray) replaceUse(old, new *Reg)   { repl(&i.Len, old, new) }
 func (i *NewArray) String() string {
 	return fmt.Sprintf("%s = new %s[%s]", i.Dst, i.Elem, i.Len)
 }
@@ -414,11 +414,11 @@ type GetField struct {
 	Field *types.FieldInfo
 }
 
-func (i *GetField) Def() *Reg                { return i.Dst }
-func (i *GetField) Uses() []*Reg             { return []*Reg{i.Obj} }
-func (i *GetField) UseRoles() []Role         { return []Role{RoleBase} }
+func (i *GetField) Def() *Reg                  { return i.Dst }
+func (i *GetField) Uses() []*Reg               { return []*Reg{i.Obj} }
+func (i *GetField) UseRoles() []Role           { return []Role{RoleBase} }
 func (i *GetField) EachUse(f func(*Reg, Role)) { f(i.Obj, RoleBase) }
-func (i *GetField) replaceUse(old, new *Reg) { repl(&i.Obj, old, new) }
+func (i *GetField) replaceUse(old, new *Reg)   { repl(&i.Obj, old, new) }
 func (i *GetField) String() string {
 	return fmt.Sprintf("%s = %s.%s", i.Dst, i.Obj, i.Field.QualifiedName())
 }
@@ -431,9 +431,9 @@ type SetField struct {
 	Val   *Reg
 }
 
-func (i *SetField) Def() *Reg        { return nil }
-func (i *SetField) Uses() []*Reg     { return []*Reg{i.Obj, i.Val} }
-func (i *SetField) UseRoles() []Role { return []Role{RoleBase, RoleProducer} }
+func (i *SetField) Def() *Reg                  { return nil }
+func (i *SetField) Uses() []*Reg               { return []*Reg{i.Obj, i.Val} }
+func (i *SetField) UseRoles() []Role           { return []Role{RoleBase, RoleProducer} }
 func (i *SetField) EachUse(f func(*Reg, Role)) { f(i.Obj, RoleBase); f(i.Val, RoleProducer) }
 func (i *SetField) replaceUse(old, new *Reg) {
 	repl(&i.Obj, old, new)
@@ -452,7 +452,7 @@ type GetStatic struct {
 
 func (i *GetStatic) Def() *Reg                { return i.Dst }
 func (i *GetStatic) Uses() []*Reg             { return nil }
-func (i *GetStatic) EachUse(func(*Reg, Role))     {}
+func (i *GetStatic) EachUse(func(*Reg, Role)) {}
 func (i *GetStatic) UseRoles() []Role         { return nil }
 func (i *GetStatic) replaceUse(old, new *Reg) {}
 func (i *GetStatic) String() string {
@@ -466,11 +466,11 @@ type SetStatic struct {
 	Val   *Reg
 }
 
-func (i *SetStatic) Def() *Reg                { return nil }
-func (i *SetStatic) Uses() []*Reg             { return []*Reg{i.Val} }
-func (i *SetStatic) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *SetStatic) Def() *Reg                  { return nil }
+func (i *SetStatic) Uses() []*Reg               { return []*Reg{i.Val} }
+func (i *SetStatic) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *SetStatic) EachUse(f func(*Reg, Role)) { f(i.Val, RoleProducer) }
-func (i *SetStatic) replaceUse(old, new *Reg) { repl(&i.Val, old, new) }
+func (i *SetStatic) replaceUse(old, new *Reg)   { repl(&i.Val, old, new) }
 func (i *SetStatic) String() string {
 	return fmt.Sprintf("static %s = %s", i.Field.QualifiedName(), i.Val)
 }
@@ -485,9 +485,9 @@ type ArrayLoad struct {
 	Idx *Reg
 }
 
-func (i *ArrayLoad) Def() *Reg        { return i.Dst }
-func (i *ArrayLoad) Uses() []*Reg     { return []*Reg{i.Arr, i.Idx} }
-func (i *ArrayLoad) UseRoles() []Role { return []Role{RoleBase, RoleBase} }
+func (i *ArrayLoad) Def() *Reg                  { return i.Dst }
+func (i *ArrayLoad) Uses() []*Reg               { return []*Reg{i.Arr, i.Idx} }
+func (i *ArrayLoad) UseRoles() []Role           { return []Role{RoleBase, RoleBase} }
 func (i *ArrayLoad) EachUse(f func(*Reg, Role)) { f(i.Arr, RoleBase); f(i.Idx, RoleBase) }
 func (i *ArrayLoad) replaceUse(old, new *Reg) {
 	repl(&i.Arr, old, new)
@@ -508,7 +508,11 @@ type ArrayStore struct {
 func (i *ArrayStore) Def() *Reg        { return nil }
 func (i *ArrayStore) Uses() []*Reg     { return []*Reg{i.Arr, i.Idx, i.Val} }
 func (i *ArrayStore) UseRoles() []Role { return []Role{RoleBase, RoleBase, RoleProducer} }
-func (i *ArrayStore) EachUse(f func(*Reg, Role)) { f(i.Arr, RoleBase); f(i.Idx, RoleBase); f(i.Val, RoleProducer) }
+func (i *ArrayStore) EachUse(f func(*Reg, Role)) {
+	f(i.Arr, RoleBase)
+	f(i.Idx, RoleBase)
+	f(i.Val, RoleProducer)
+}
 func (i *ArrayStore) replaceUse(old, new *Reg) {
 	repl(&i.Arr, old, new)
 	repl(&i.Idx, old, new)
@@ -526,12 +530,12 @@ type ArrayLen struct {
 	Arr *Reg
 }
 
-func (i *ArrayLen) Def() *Reg                { return i.Dst }
-func (i *ArrayLen) Uses() []*Reg             { return []*Reg{i.Arr} }
-func (i *ArrayLen) UseRoles() []Role         { return []Role{RoleBase} }
+func (i *ArrayLen) Def() *Reg                  { return i.Dst }
+func (i *ArrayLen) Uses() []*Reg               { return []*Reg{i.Arr} }
+func (i *ArrayLen) UseRoles() []Role           { return []Role{RoleBase} }
 func (i *ArrayLen) EachUse(f func(*Reg, Role)) { f(i.Arr, RoleBase) }
-func (i *ArrayLen) replaceUse(old, new *Reg) { repl(&i.Arr, old, new) }
-func (i *ArrayLen) String() string           { return fmt.Sprintf("%s = %s.length", i.Dst, i.Arr) }
+func (i *ArrayLen) replaceUse(old, new *Reg)   { repl(&i.Arr, old, new) }
+func (i *ArrayLen) String() string             { return fmt.Sprintf("%s = %s.length", i.Dst, i.Arr) }
 
 // Cast is a checkcast: the value flows through (producer use).
 type Cast struct {
@@ -541,11 +545,11 @@ type Cast struct {
 	Target types.Type
 }
 
-func (i *Cast) Def() *Reg                { return i.Dst }
-func (i *Cast) Uses() []*Reg             { return []*Reg{i.Src} }
-func (i *Cast) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *Cast) Def() *Reg                  { return i.Dst }
+func (i *Cast) Uses() []*Reg               { return []*Reg{i.Src} }
+func (i *Cast) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *Cast) EachUse(f func(*Reg, Role)) { f(i.Src, RoleProducer) }
-func (i *Cast) replaceUse(old, new *Reg) { repl(&i.Src, old, new) }
+func (i *Cast) replaceUse(old, new *Reg)   { repl(&i.Src, old, new) }
 func (i *Cast) String() string {
 	return fmt.Sprintf("%s = (%s) %s", i.Dst, i.Target, i.Src)
 }
@@ -558,11 +562,11 @@ type InstanceOf struct {
 	Class *types.ClassInfo
 }
 
-func (i *InstanceOf) Def() *Reg                { return i.Dst }
-func (i *InstanceOf) Uses() []*Reg             { return []*Reg{i.Src} }
-func (i *InstanceOf) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *InstanceOf) Def() *Reg                  { return i.Dst }
+func (i *InstanceOf) Uses() []*Reg               { return []*Reg{i.Src} }
+func (i *InstanceOf) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *InstanceOf) EachUse(f func(*Reg, Role)) { f(i.Src, RoleProducer) }
-func (i *InstanceOf) replaceUse(old, new *Reg) { repl(&i.Src, old, new) }
+func (i *InstanceOf) replaceUse(old, new *Reg)   { repl(&i.Src, old, new) }
 func (i *InstanceOf) String() string {
 	return fmt.Sprintf("%s = %s instanceof %s", i.Dst, i.Src, i.Class.Name)
 }
@@ -658,12 +662,12 @@ type Print struct {
 	Val *Reg
 }
 
-func (i *Print) Def() *Reg                { return nil }
-func (i *Print) Uses() []*Reg             { return []*Reg{i.Val} }
-func (i *Print) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *Print) Def() *Reg                  { return nil }
+func (i *Print) Uses() []*Reg               { return []*Reg{i.Val} }
+func (i *Print) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *Print) EachUse(f func(*Reg, Role)) { f(i.Val, RoleProducer) }
-func (i *Print) replaceUse(old, new *Reg) { repl(&i.Val, old, new) }
-func (i *Print) String() string           { return fmt.Sprintf("print %s", i.Val) }
+func (i *Print) replaceUse(old, new *Reg)   { repl(&i.Val, old, new) }
+func (i *Print) String() string             { return fmt.Sprintf("print %s", i.Val) }
 
 // Assert checks a condition; a failing assert is a failure seed, so the
 // condition is a producer use (slicing from the assert must reach the
@@ -673,12 +677,12 @@ type Assert struct {
 	Cond *Reg
 }
 
-func (i *Assert) Def() *Reg                { return nil }
-func (i *Assert) Uses() []*Reg             { return []*Reg{i.Cond} }
-func (i *Assert) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *Assert) Def() *Reg                  { return nil }
+func (i *Assert) Uses() []*Reg               { return []*Reg{i.Cond} }
+func (i *Assert) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *Assert) EachUse(f func(*Reg, Role)) { f(i.Cond, RoleProducer) }
-func (i *Assert) replaceUse(old, new *Reg) { repl(&i.Cond, old, new) }
-func (i *Assert) String() string           { return fmt.Sprintf("assert %s", i.Cond) }
+func (i *Assert) replaceUse(old, new *Reg)   { repl(&i.Cond, old, new) }
+func (i *Assert) String() string             { return fmt.Sprintf("assert %s", i.Cond) }
 
 // Return exits the method; the returned value (if any) flows to the
 // callers' Call.Dst (a producer edge).
@@ -723,12 +727,12 @@ type Throw struct {
 	Val *Reg
 }
 
-func (i *Throw) Def() *Reg                { return nil }
-func (i *Throw) Uses() []*Reg             { return []*Reg{i.Val} }
-func (i *Throw) UseRoles() []Role         { return []Role{RoleProducer} }
+func (i *Throw) Def() *Reg                  { return nil }
+func (i *Throw) Uses() []*Reg               { return []*Reg{i.Val} }
+func (i *Throw) UseRoles() []Role           { return []Role{RoleProducer} }
 func (i *Throw) EachUse(f func(*Reg, Role)) { f(i.Val, RoleProducer) }
-func (i *Throw) replaceUse(old, new *Reg) { repl(&i.Val, old, new) }
-func (i *Throw) String() string           { return fmt.Sprintf("throw %s", i.Val) }
+func (i *Throw) replaceUse(old, new *Reg)   { repl(&i.Val, old, new) }
+func (i *Throw) String() string             { return fmt.Sprintf("throw %s", i.Val) }
 
 // If branches on a boolean: the condition is a control use.
 type If struct {
@@ -738,11 +742,11 @@ type If struct {
 	Else *Block
 }
 
-func (i *If) Def() *Reg                { return nil }
-func (i *If) Uses() []*Reg             { return []*Reg{i.Cond} }
-func (i *If) UseRoles() []Role         { return []Role{RoleControl} }
+func (i *If) Def() *Reg                  { return nil }
+func (i *If) Uses() []*Reg               { return []*Reg{i.Cond} }
+func (i *If) UseRoles() []Role           { return []Role{RoleControl} }
 func (i *If) EachUse(f func(*Reg, Role)) { f(i.Cond, RoleControl) }
-func (i *If) replaceUse(old, new *Reg) { repl(&i.Cond, old, new) }
+func (i *If) replaceUse(old, new *Reg)   { repl(&i.Cond, old, new) }
 func (i *If) String() string {
 	return fmt.Sprintf("if %s goto %s else %s", i.Cond, i.Then, i.Else)
 }
@@ -755,7 +759,7 @@ type Goto struct {
 
 func (i *Goto) Def() *Reg                { return nil }
 func (i *Goto) Uses() []*Reg             { return nil }
-func (i *Goto) EachUse(func(*Reg, Role))     {}
+func (i *Goto) EachUse(func(*Reg, Role)) {}
 func (i *Goto) UseRoles() []Role         { return nil }
 func (i *Goto) replaceUse(old, new *Reg) {}
 func (i *Goto) String() string           { return fmt.Sprintf("goto %s", i.Target) }

@@ -29,4 +29,3 @@ func LoadBare(sources map[string]string) (*types.Info, error) {
 	}
 	return types.Check(prog)
 }
-

@@ -5,15 +5,15 @@ package sdg
 // result (methods × contexts, in MCtx ID order), so the payload stores
 // only what Build computes on top of that scaffolding: each node's
 // ordered dependence list and the per-context caller-node lists.
-// DecodeGraph rebuilds the scaffolding exactly as BuildWorkers does and
+// DecodeGraph rebuilds the scaffolding exactly as BuildBudget does and
 // fills in the edges, so a decoded graph fingerprints identically to
 // the one Build produced.
 
 import (
 	"fmt"
 
-	"thinslice/internal/artifact"
 	"thinslice/internal/analysis/pointsto"
+	"thinslice/internal/artifact"
 	"thinslice/internal/ir"
 )
 
@@ -62,7 +62,7 @@ func DecodeGraph(data []byte, prog *ir.Program, pts *pointsto.Result) (g *Graph,
 		firstID:     make(map[*ir.Method]int),
 		callerNodes: make(map[*pointsto.MCtx][]Node),
 	}
-	// Scaffolding, exactly as BuildWorkers lays it out.
+	// Scaffolding, exactly as BuildBudget lays it out.
 	methodSize := make(map[*ir.Method]int, len(prog.Methods))
 	for _, m := range prog.Methods {
 		first, n := -1, 0

@@ -188,7 +188,6 @@ func BuildDelta(prog *ir.Program, pts *pointsto.Result, prev *BuildState, change
 	g := &Graph{
 		Prog:        prog,
 		Pts:         pts,
-		bud:         b,
 		meter:       b.Phase(budget.PhaseSDG),
 		base:        make(map[*pointsto.MCtx]int32),
 		firstID:     make(map[*ir.Method]int),

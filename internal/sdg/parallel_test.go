@@ -2,7 +2,9 @@ package sdg_test
 
 import (
 	"context"
+	"math"
 	"testing"
+	"time"
 
 	"thinslice/internal/analyzer"
 	"thinslice/internal/budget"
@@ -11,38 +13,44 @@ import (
 	"thinslice/internal/sdg"
 )
 
-// buildBoth lowers and points-to-analyzes srcs once, then builds the
-// dependence graph sequentially and with a worker pool.
-func fingerprints(t *testing.T, srcs map[string]string, workers int) (string, string) {
+// fingerprints lowers and points-to-analyzes srcs once, then builds the
+// dependence graph down both construction paths: the metered
+// single-pass build (under a step cap it never reaches) and the
+// two-pass direct-CSR build (nil budget).
+func fingerprints(t *testing.T, srcs map[string]string) (metered, twoPass string) {
 	t.Helper()
-	defer sdg.ForceParallelForTest()()
-	a, err := analyzer.Analyze(srcs, analyzer.WithWorkers(1))
+	a, err := analyzer.Analyze(srcs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := sdg.BuildBudget(a.Prog, a.Pts, nil)
+	capped := budget.New(context.Background(), budget.WithPhaseSteps(budget.PhaseSDG, math.MaxInt64))
+	single, err := sdg.BuildBudget(a.Prog, a.Pts, capped)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := sdg.BuildWorkers(a.Prog, a.Pts, nil, workers)
+	if single.Truncated {
+		t.Fatal("step cap truncated the metered build")
+	}
+	two, err := sdg.BuildBudget(a.Prog, a.Pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both builds must also be structurally well-formed — equal
 	// fingerprints on malformed graphs would prove nothing.
-	if errs := sdg.VerifyGraph(seq); len(errs) > 0 {
-		t.Fatalf("sequential graph fails VerifyGraph: %v", errs[0])
+	if errs := sdg.VerifyGraph(single); len(errs) > 0 {
+		t.Fatalf("metered single-pass graph fails VerifyGraph: %v", errs[0])
 	}
-	if errs := sdg.VerifyGraph(par); len(errs) > 0 {
-		t.Fatalf("parallel graph fails VerifyGraph: %v", errs[0])
+	if errs := sdg.VerifyGraph(two); len(errs) > 0 {
+		t.Fatalf("two-pass graph fails VerifyGraph: %v", errs[0])
 	}
-	return seq.Fingerprint(), par.Fingerprint()
+	return single.Fingerprint(), two.Fingerprint()
 }
 
-// TestParallelBuildMatchesSequentialPapercases pins the parallel SDG
-// contract on the paper's running examples: every worker count yields
-// a graph with identical per-node dependence lists, caller-node lists,
-// and edge counts.
+// TestParallelBuildMatchesSequentialPapercases pins the contract
+// between the two construction paths on the paper's running examples:
+// the metered single-pass build and the two-pass build yield graphs
+// with identical per-node dependence lists, caller-node lists, and
+// edge counts.
 func TestParallelBuildMatchesSequentialPapercases(t *testing.T) {
 	cases := map[string]map[string]string{
 		"firstnames": {papercases.FirstNamesFile: papercases.FirstNames},
@@ -52,19 +60,17 @@ func TestParallelBuildMatchesSequentialPapercases(t *testing.T) {
 	}
 	for name, srcs := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, workers := range []int{2, 4, 8} {
-				seq, par := fingerprints(t, srcs, workers)
-				if seq != par {
-					t.Fatalf("workers=%d: parallel SDG fingerprint %s != sequential %s", workers, par, seq)
-				}
+			metered, twoPass := fingerprints(t, srcs)
+			if metered != twoPass {
+				t.Fatalf("two-pass SDG fingerprint %s != metered single-pass %s", twoPass, metered)
 			}
 		})
 	}
 }
 
 // TestParallelBuildMatchesSequentialRandprog sweeps the randomized
-// corpus: 200 generated programs, each with sequential and parallel
-// graphs compared by fingerprint.
+// corpus: 200 generated programs, each built down both construction
+// paths and compared by fingerprint.
 func TestParallelBuildMatchesSequentialRandprog(t *testing.T) {
 	n := 200
 	if testing.Short() {
@@ -72,53 +78,30 @@ func TestParallelBuildMatchesSequentialRandprog(t *testing.T) {
 	}
 	for seed := 0; seed < n; seed++ {
 		srcs := randprog.Generate(int64(seed), randprog.DefaultConfig)
-		seq, par := fingerprints(t, srcs, 4)
-		if seq != par {
-			t.Fatalf("seed %d: parallel SDG diverged from sequential", seed)
+		metered, twoPass := fingerprints(t, srcs)
+		if metered != twoPass {
+			t.Fatalf("seed %d: two-pass SDG diverged from metered single-pass", seed)
 		}
 	}
 }
 
-// TestParallelBuildHonorsCancellation covers the parallel path's
-// per-worker cancellation meters: a pre-canceled budget aborts the
-// build with a typed error instead of returning a graph.
+// TestParallelBuildHonorsCancellation covers the server's path: a
+// deadline-only budget (no step cap) selects the two-pass build, and a
+// pre-canceled one aborts it with a typed cancellation error instead
+// of returning a graph.
 func TestParallelBuildHonorsCancellation(t *testing.T) {
-	defer sdg.ForceParallelForTest()()
 	a, err := analyzer.Analyze(map[string]string{papercases.FirstNamesFile: papercases.FirstNames})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	b := budget.New(ctx)
+	b := budget.New(ctx, budget.WithTimeout(time.Minute))
 	cancel()
-	if _, err := sdg.BuildWorkers(a.Prog, a.Pts, b, 4); err == nil {
-		t.Fatal("parallel build with canceled budget returned no error")
+	g, err := sdg.BuildBudget(a.Prog, a.Pts, b)
+	if !budget.IsCanceled(err) {
+		t.Fatalf("build with canceled budget: err = %v, want cancellation", err)
 	}
-}
-
-// TestPartitionCtxs pins the size-aware partitioner's contract: the
-// buckets are contiguous, cover every context exactly once, and no
-// bucket (except possibly a final remainder) is grossly oversized
-// relative to the balance target.
-func TestPartitionCtxs(t *testing.T) {
-	cases := [][]int{
-		{},
-		{5},
-		{1, 1, 1, 1, 1, 1, 1, 1},
-		{100, 1, 1, 1, 1, 1, 1, 100},
-		{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 50, 1, 1},
-	}
-	for ci, sizes := range cases {
-		buckets := sdg.PartitionCtxsForTest(sizes, 4)
-		next := 0
-		for _, b := range buckets {
-			if b[0] != next || b[1] <= b[0] {
-				t.Fatalf("case %d: bucket %v not contiguous from %d", ci, b, next)
-			}
-			next = b[1]
-		}
-		if next != len(sizes) {
-			t.Fatalf("case %d: buckets cover [0,%d), want [0,%d)", ci, next, len(sizes))
-		}
+	if g != nil {
+		t.Fatal("canceled build returned a graph")
 	}
 }

@@ -17,10 +17,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"thinslice/internal/analysis/cdg"
@@ -129,7 +125,6 @@ type Graph struct {
 	Truncated bool
 	LimitErr  error
 
-	bud   *budget.Budget
 	meter *budget.Meter
 	stop  error
 	// Edge records accumulate during construction in an ordered chain
@@ -138,8 +133,7 @@ type Graph struct {
 	// edges allocates exactly ceil(E/chunk) pointer-free blocks;
 	// finalize stable-sorts the chain by target node into the CSR
 	// arrays below. A node's in-edge order is its emission order,
-	// which the counting sort preserves. The parallel build adopts its
-	// per-bucket/per-task buffers directly as chunks, zero-copy.
+	// which the counting sort preserves.
 	edgeFull [][]edgeRec
 	edgeCur  []edgeRec
 	// CSR (compressed sparse row) in-edge layout, built once after
@@ -161,7 +155,6 @@ type Graph struct {
 	// the whole callee body every time is quadratic in practice.
 	returns map[*ir.Method][]*ir.Return
 }
-
 
 // NumNodes returns the number of statement instances (the paper's
 // "SDG Statements": scalar statements across call-graph clones,
@@ -270,9 +263,9 @@ func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.callerNodes[mc]
 
 // Fingerprint returns a sha256 digest of the graph's full structure —
 // every node's ordered dependence list, the per-context caller-node
-// lists, and the edge count. Two builds of the same program (sequential
-// or parallel, any worker count) must produce identical fingerprints;
-// the equivalence tests pin exactly that.
+// lists, and the edge count. Two builds of the same program (metered
+// single-pass or two-pass, cold or delta) must produce identical
+// fingerprints; the equivalence tests pin exactly that.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
 	buf := make([]byte, 8)
@@ -362,31 +355,11 @@ func newHeapIndex() *heapIndex {
 	}
 }
 
-// merge appends o's accesses after h's. Called in context order by the
-// parallel build, this reproduces the sequential append order exactly.
-func (h *heapIndex) merge(o *heapIndex) {
-	for k, v := range o.fieldStores {
-		h.fieldStores[k] = append(h.fieldStores[k], v...)
-	}
-	for k, v := range o.fieldLoads {
-		h.fieldLoads[k] = append(h.fieldLoads[k], v...)
-	}
-	h.elemStores = append(h.elemStores, o.elemStores...)
-	h.elemLoads = append(h.elemLoads, o.elemLoads...)
-	h.lenReads = append(h.lenReads, o.lenReads...)
-	for k, v := range o.staticStores {
-		h.staticStores[k] = append(h.staticStores[k], v...)
-	}
-	for k, v := range o.staticLoads {
-		h.staticLoads[k] = append(h.staticLoads[k], v...)
-	}
-}
-
-// scanEmit sinks one context's scan-phase discoveries. The sequential
+// scanEmit sinks one context's scan-phase discoveries. The single-pass
 // build writes straight into the graph (ticking the shared budget per
-// edge); the parallel build records into per-context buffers that are
-// merged in context order afterwards. The two-pass build's fill pass
-// leaves caller and heap nil: dependence edges are re-emitted but the
+// edge); the two-pass build's counting pass only sizes each node's
+// in-edge list, and its fill pass leaves caller and heap nil:
+// dependence edges are re-emitted into their final CSR slots but the
 // heap index and caller lists from the first pass are kept.
 type scanEmit struct {
 	// tick is called once per instruction; returning false stops the
@@ -416,40 +389,14 @@ func Build(prog *ir.Program, pts *pointsto.Result) *Graph {
 // (PhaseSDG, one step per instruction scanned or edge added). A
 // canceled context or passed deadline aborts with *budget.ErrCanceled;
 // an exhausted step cap returns the partial graph flagged Truncated
-// with a nil error — all nodes present, some edges missing.
+// with a nil error — all nodes present, some edges missing. A step cap
+// selects the metered single-pass construction, whose truncation point
+// is deterministic; every other budget takes the two-pass direct-CSR
+// construction. Both produce byte-identical complete graphs.
 func BuildBudget(prog *ir.Program, pts *pointsto.Result, b *budget.Budget) (*Graph, error) {
-	return BuildWorkers(prog, pts, b, 1)
-}
-
-// BuildWorkers is BuildBudget with construction spread over up to
-// workers goroutines (workers < 1 selects GOMAXPROCS). The three
-// construction phases parallelize independently — per-context scans
-// are buffered and merged in context order, heap pairing fans out over
-// node-disjoint access groups, and control dependences fan out per
-// context — so a completed parallel build is byte-identical to the
-// sequential one. A step-capped budget forces workers = 1: truncation
-// must stop at the same deterministic point the sequential build
-// stops at, which requires the sequential tick interleaving. Workers
-// draw per-goroutine meters from the budget, so cancellation and
-// deadlines are still honored promptly on the parallel path.
-// parallelMinNodes gates the worker pool: below this many statement
-// instances the scan buffers, merge pass, and goroutine handoff cost
-// more than the construction itself, so small programs always build
-// sequentially and never pay pool overhead. A variable so the
-// equivalence tests can force the parallel path on small programs.
-var parallelMinNodes = 24576
-
-func BuildWorkers(prog *ir.Program, pts *pointsto.Result, b *budget.Budget, workers int) (*Graph, error) {
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > 1 && b.Limited(budget.PhaseSDG) {
-		workers = 1
-	}
 	g := &Graph{
 		Prog:        prog,
 		Pts:         pts,
-		bud:         b,
 		meter:       b.Phase(budget.PhaseSDG),
 		base:        make(map[*pointsto.MCtx]int32),
 		firstID:     make(map[*ir.Method]int),
@@ -479,54 +426,20 @@ func BuildWorkers(prog *ir.Program, pts *pointsto.Result, b *budget.Budget, work
 	}
 	g.mctxs = pts.MCtxs()
 	total := 0
-	ctxSize := make([]int, len(g.mctxs))
-	for i, mc := range g.mctxs {
+	for _, mc := range g.mctxs {
 		g.base[mc] = int32(total)
-		ctxSize[i] = methodSize[mc.Method]
-		total += ctxSize[i]
+		total += methodSize[mc.Method]
 	}
 	g.nodeCtx = make([]*pointsto.MCtx, 0, total)
-	for i, mc := range g.mctxs {
-		for j := 0; j < ctxSize[i]; j++ {
+	for _, mc := range g.mctxs {
+		for j := 0; j < methodSize[mc.Method]; j++ {
 			g.nodeCtx = append(g.nodeCtx, mc)
 		}
 	}
-	if workers > 1 && total < parallelMinNodes {
-		workers = 1
+	if b.Limited(budget.PhaseSDG) {
+		return g.buildSinglePass()
 	}
-	if workers <= 1 {
-		return g.buildSequential()
-	}
-	return g.buildParallel(workers, ctxSize)
-}
-
-// ctxRange is one contiguous run of contexts, g.mctxs[lo:hi), assigned
-// to a single scan buffer by the size-aware partitioner.
-type ctxRange struct{ lo, hi int }
-
-// partitionCtxs splits the context list into contiguous buckets of
-// roughly equal instruction count (about 4 buckets per worker so the
-// pool can rebalance around stragglers). Contiguity keeps the merge
-// pass a simple in-order walk that replays the sequential edge order.
-func partitionCtxs(ctxSize []int, workers int) []ctxRange {
-	total := 0
-	for _, n := range ctxSize {
-		total += n
-	}
-	target := total/(workers*4) + 1
-	var out []ctxRange
-	lo, acc := 0, 0
-	for i, n := range ctxSize {
-		acc += n
-		if acc >= target {
-			out = append(out, ctxRange{lo, i + 1})
-			lo, acc = i+1, 0
-		}
-	}
-	if lo < len(ctxSize) {
-		out = append(out, ctxRange{lo, len(ctxSize)})
-	}
-	return out
+	return g.buildTwoPass()
 }
 
 // scanCtx performs the per-context scan phase: intraprocedural def-use
@@ -607,7 +520,7 @@ func (g *Graph) lenDeps(lr heapAccess, add func(to Node, d Dep)) {
 		for _, src := range g.NodesOf(o.Site) {
 			if !seen[src] {
 				seen[src] = true
-			add(lr.node, Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
+				add(lr.node, Dep{Src: src, Kind: EdgeHeap, Via: NoNode})
 			}
 		}
 	}
@@ -632,7 +545,6 @@ func (g *Graph) controlCtx(mc *pointsto.MCtx, cg *cdg.Graph, add func(to Node, d
 		}
 	})
 }
-
 
 // maskKey identifies a single-word points-to mask; loads with equal
 // masks match exactly the same stores, so per-field pairing caches the
@@ -751,14 +663,10 @@ func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep
 	}
 }
 
-// buildSequential is the reference construction: one goroutine, every
-// step ticking the shared meter, deterministic truncation on an
-// exhausted step cap. Unmetered builds take the two-pass direct-CSR
-// path instead.
-func (g *Graph) buildSequential() (*Graph, error) {
-	if !g.bud.Limited(budget.PhaseSDG) {
-		return g.buildTwoPass()
-	}
+// buildSinglePass is the step-capped construction: every step ticks
+// the shared meter, so an exhausted cap truncates at a deterministic
+// point.
+func (g *Graph) buildSinglePass() (*Graph, error) {
 	h := newHeapIndex()
 	em := scanEmit{
 		tick: g.tick,
@@ -786,13 +694,13 @@ func (g *Graph) buildSequential() (*Graph, error) {
 	return g, nil
 }
 
-// buildTwoPass is the sequential construction for builds without a
-// step cap: a counting pass sizes every node's in-edge list, then a
-// second emission pass writes each edge straight into its final CSR
-// slot — no intermediate edge buffers at all, roughly a quarter of
-// the build's allocated bytes on the larger corpora. Step-capped
-// budgets stay on the single-pass path above because deterministic
-// truncation requires the exact sequential tick interleaving; here the
+// buildTwoPass is the construction for builds without a step cap: a
+// counting pass sizes every node's in-edge list, then a second
+// emission pass writes each edge straight into its final CSR slot — no
+// intermediate edge buffers at all, roughly a quarter of the build's
+// allocated bytes on the larger corpora. Step-capped budgets stay on
+// the single-pass path above because deterministic truncation requires
+// the exact single-pass tick interleaving; here the
 // meter can only fail on cancellation or deadline, and either aborts
 // the build outright. The fill pass re-runs the phases in the same
 // order over the retained heap index and CDG cache (heap and caller
@@ -843,253 +751,6 @@ func (g *Graph) buildTwoPass() (*Graph, error) {
 	g.emitHeapAndControl(h, cdgCache, nil, place)
 	g.csrOff, g.csrDeps, g.numEdges = off, deps, total
 	return g, nil
-}
-
-// callerAdd is one buffered caller-node record of the parallel scan.
-type callerAdd struct {
-	callee *pointsto.MCtx
-	node   Node
-}
-
-// ctxScan is the buffered outcome of scanning one context.
-type ctxScan struct {
-	deps    []edgeRec
-	callers []callerAdd
-	heap    *heapIndex
-}
-
-// buildParallel runs the three construction phases over a bounded
-// worker pool, with contexts partitioned into contiguous size-balanced
-// buckets (one scan buffer per bucket instead of per context). Only
-// cancellation/deadline errors can occur here (step caps force the
-// sequential path), so an error aborts the whole build.
-func (g *Graph) buildParallel(workers int, ctxSize []int) (*Graph, error) {
-	// Phase 1: scan context buckets into per-bucket buffers.
-	buckets := partitionCtxs(ctxSize, workers)
-	scans := make([]*ctxScan, len(buckets))
-	err := g.forEach(workers, len(buckets), func(m *budget.Meter, i int) error {
-		cs := &ctxScan{heap: newHeapIndex()}
-		var stopErr error
-		em := scanEmit{
-			tick: func() bool {
-				if stopErr != nil {
-					return false
-				}
-				if err := m.Tick(); err != nil {
-					stopErr = err
-					return false
-				}
-				return true
-			},
-			dep:    func(to Node, d Dep) { cs.deps = append(cs.deps, edgeRec{to, d}) },
-			caller: func(callee *pointsto.MCtx, n Node) { cs.callers = append(cs.callers, callerAdd{callee, n}) },
-			heap:   cs.heap,
-		}
-		for _, mc := range g.mctxs[buckets[i].lo:buckets[i].hi] {
-			if stopErr != nil {
-				break
-			}
-			g.scanCtx(mc, em)
-		}
-		scans[i] = cs
-		return stopErr
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Merge in bucket (= context) order: replays the sequential addDep
-	// order.
-	h := newHeapIndex()
-	for _, cs := range scans {
-		if len(cs.deps) > 0 {
-			g.edgeFull = append(g.edgeFull, cs.deps)
-		}
-		for _, ca := range cs.callers {
-			g.callerNodes[ca.callee] = append(g.callerNodes[ca.callee], ca.node)
-		}
-		h.merge(cs.heap)
-	}
-
-	// Phase 2: heap pairing over node-disjoint access groups. Each
-	// group owns its load nodes exclusively (an instruction accesses
-	// exactly one field), so per-node edge order is within-task order
-	// regardless of how the task buffers are concatenated.
-	var tasks []func(m *budget.Meter, sink func(Node, Dep)) error
-	for _, fname := range sortedKeys(h.fieldLoads) {
-		loads, stores := h.fieldLoads[fname], h.fieldStores[fname]
-		tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-			cache := make(map[maskKey][]Node)
-			for i := range loads {
-				if err := m.Tick(); err != nil {
-					return err
-				}
-				for _, st := range matchStores(&loads[i], stores, cache) {
-					sink(loads[i].node, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-			return nil
-		})
-	}
-	tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-		for _, ld := range h.elemLoads {
-			if err := m.Tick(); err != nil {
-				return err
-			}
-			for _, st := range h.elemStores {
-				if ld.aliases(&st) {
-					sink(ld.node, Dep{Src: st.node, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-		}
-		return nil
-	})
-	tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-		for _, lr := range h.lenReads {
-			if err := m.Tick(); err != nil {
-				return err
-			}
-			g.lenDeps(lr, sink)
-		}
-		return nil
-	})
-	for _, fname := range sortedKeys(h.staticLoads) {
-		loads, stores := h.staticLoads[fname], h.staticStores[fname]
-		tasks = append(tasks, func(m *budget.Meter, sink func(Node, Dep)) error {
-			if err := m.Err(); err != nil {
-				return err
-			}
-			for _, ld := range loads {
-				for _, st := range stores {
-					sink(ld, Dep{Src: st, Kind: EdgeHeap, Via: NoNode})
-				}
-			}
-			return nil
-		})
-	}
-	taskBufs := make([][]edgeRec, len(tasks))
-	if err := g.forEach(workers, len(tasks), func(m *budget.Meter, i int) error {
-		return tasks[i](m, func(to Node, d Dep) { taskBufs[i] = append(taskBufs[i], edgeRec{to, d}) })
-	}); err != nil {
-		return nil, err
-	}
-	for _, buf := range taskBufs {
-		if len(buf) > 0 {
-			g.edgeFull = append(g.edgeFull, buf)
-		}
-	}
-
-	// Phase 3: control dependences. Intraprocedural CDGs first (one
-	// per method, in first-context order), then per-context edges;
-	// each context appends only to its own nodes' rows.
-	var methods []*ir.Method
-	cdgOf := make(map[*ir.Method]*cdg.Graph)
-	for _, mc := range g.mctxs {
-		if _, ok := cdgOf[mc.Method]; !ok {
-			cdgOf[mc.Method] = nil
-			methods = append(methods, mc.Method)
-		}
-	}
-	cgs := make([]*cdg.Graph, len(methods))
-	if err := g.forEach(workers, len(methods), func(m *budget.Meter, i int) error {
-		if err := m.Err(); err != nil {
-			return err
-		}
-		cgs[i] = cdg.Build(methods[i])
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for i, m := range methods {
-		cdgOf[m] = cgs[i]
-	}
-	ctrlBufs := make([][]edgeRec, len(buckets))
-	if err := g.forEach(workers, len(buckets), func(m *budget.Meter, i int) error {
-		if err := m.Err(); err != nil {
-			return err
-		}
-		for _, mc := range g.mctxs[buckets[i].lo:buckets[i].hi] {
-			g.controlCtx(mc, cdgOf[mc.Method], func(to Node, d Dep) { ctrlBufs[i] = append(ctrlBufs[i], edgeRec{to, d}) })
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	for _, buf := range ctrlBufs {
-		if len(buf) > 0 {
-			g.edgeFull = append(g.edgeFull, buf)
-		}
-	}
-
-	g.finalize()
-	return g, nil
-}
-
-// forEach runs f(meter, i) for i in [0,n) over a bounded worker pool.
-// Each worker draws its own budget meter (shared meters are not
-// goroutine-safe); the first error aborts the pool and is returned.
-// A worker panic is re-raised on the calling goroutine so the facade's
-// recover boundary still converts it to a typed internal error.
-func (g *Graph) forEach(workers, n int, f func(m *budget.Meter, i int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	var (
-		next   atomic.Int64
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		first  error
-		panicV any
-		halt   atomic.Bool
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					mu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					mu.Unlock()
-					halt.Store(true)
-				}
-			}()
-			m := g.bud.Phase(budget.PhaseSDG)
-			for !halt.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				if err := f(m, i); err != nil {
-					mu.Lock()
-					if first == nil {
-						first = err
-					}
-					mu.Unlock()
-					halt.Store(true)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
-	return first
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // tick spends one construction step; once the budget fails the graph
@@ -1147,19 +808,4 @@ func (g *Graph) linkCall(caller *pointsto.MCtx, callNode Node, call *ir.Call, em
 			}
 		}
 	}
-}
-
-func intersects(a, b []int) bool {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			return true
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }

@@ -40,9 +40,9 @@ type breaker struct {
 }
 
 type breakerState struct {
-	fails     int       // consecutive failures while closed
-	opens     int       // consecutive open windows (backoff exponent)
-	open      bool      // rejecting (or probing) until openUntil passes
+	fails     int  // consecutive failures while closed
+	opens     int  // consecutive open windows (backoff exponent)
+	open      bool // rejecting (or probing) until openUntil passes
 	openUntil time.Time
 	probing   bool // a half-open probe is in flight
 	lastErr   string

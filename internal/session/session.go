@@ -9,11 +9,10 @@
 // and editing one source file invalidates exactly the artifacts
 // downstream of it.
 //
-// Sessions also own the parallel construction paths: per-method SSA
-// lowering (ir.LowerWorkers) and dependence-graph construction
-// (sdg.BuildWorkers) run over bounded worker pools and produce output
-// byte-identical to the sequential builds, so worker count never keys
-// the cache.
+// Every phase runs sequentially on the goroutine that asks for it; a
+// session's concurrency is the concurrency of its callers (the server's
+// admission pool), and the store's single-flight slots make concurrent
+// callers share one build of each artifact.
 //
 // analyzer.Analyze is a thin convenience wrapper over this package.
 package session
@@ -70,7 +69,6 @@ type config struct {
 	noPrelude   bool
 	verifyIR    bool
 	budget      *budget.Budget
-	workers     int
 	store       *Store
 	disk        *diskstore.Cache
 	remote      RemoteFetch
@@ -103,11 +101,6 @@ func WithVerifyIR() Option { return func(c *config) { c.verifyIR = true } }
 // Artifacts a budget truncates or degrades are never cached.
 func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b } }
 
-// WithWorkers sets the worker count for the parallel construction
-// phases: 1 forces sequential builds, 0 (the default) selects
-// GOMAXPROCS. Output is byte-identical either way.
-func WithWorkers(n int) Option { return func(c *config) { c.workers = n } }
-
 // InStore places the session's artifacts in an existing store, sharing
 // them with every other session using that store.
 func InStore(st *Store) Option { return func(c *config) { c.store = st } }
@@ -115,15 +108,15 @@ func InStore(st *Store) Option { return func(c *config) { c.store = st } }
 // WithIncremental turns on the session's keyed derivation graph: the
 // IR artifact is assembled from per-method lowering units addressed by
 // depgraph unit keys (so an edit re-lowers only its transitively
-// affected frontier, in Kahn-style callee-first batches), and the
-// pointer analysis and dependence graph retain enough state after each
-// complete build to re-derive the next revision incrementally
-// (pointsto.SolveDelta, sdg.BuildDelta) — both proven byte-identical
-// to from-scratch builds. Retention costs memory proportional to the
-// last build, so it is opt-in; thinslice watch and the server's /watch
-// stream open their sessions with it. Incremental re-derivation engages
-// only for unbudgeted sessions (a truncated delta would poison every
-// later one); budgeted sessions fall back to full builds.
+// affected frontier), and the pointer analysis and dependence graph
+// retain enough state after each complete build to re-derive the next
+// revision incrementally (pointsto.SolveDelta, sdg.BuildDelta) — both
+// proven byte-identical to from-scratch builds. Retention costs memory
+// proportional to the last build, so it is opt-in; thinslice watch and
+// the server's /watch stream open their sessions with it. Incremental
+// re-derivation engages only for unbudgeted sessions (a truncated delta
+// would poison every later one); budgeted sessions fall back to full
+// builds.
 func WithIncremental() Option { return func(c *config) { c.incremental = true } }
 
 // WithDiskCache layers a persistent disk tier under the in-memory
@@ -515,10 +508,9 @@ func (s *Session) parseFile(name, src string) ([]*ast.ClassDecl, error) {
 // current source set: one unit per lowering job, keyed by a content
 // hash covering the unit's declaration and the deep fingerprints of
 // every class its lowering can observe. The incremental pipeline hangs
-// off it three ways — unit keys address per-method IR payloads in the
-// store, Diff against the previous revision's graph yields the
-// changed-symbol frontier, and TopoBatches schedules the frontier's
-// re-derivation callees-first.
+// off it two ways — unit keys address per-method IR payloads in the
+// store, and Diff against the previous revision's graph yields the
+// changed-symbol frontier.
 func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	info, err := s.Info()
 	if err != nil {
@@ -560,10 +552,9 @@ func (s *Session) Depgraph() (*depgraph.Graph, error) {
 func unitStoreKey(depgraphKey string) Key { return hashParts("unit", depgraphKey) }
 
 // lowerViaUnits assembles the program from per-method units: cached
-// payloads are cloned, the dirty frontier is re-lowered in Kahn-style
-// callee-first batches over the worker pool, and freshly derived units
-// are published back to the store (and disk tier) under their unit
-// keys. The result is byte-identical to ir.LowerWorkers.
+// payloads are cloned, the dirty frontier is lowered fresh, and freshly
+// derived units are published back to the store (and disk tier) under
+// their unit keys. The result is byte-identical to ir.Lower.
 func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) (*ir.Program, error) {
 	reuse := make(map[string][]byte, len(depg.Units))
 	cached := 0
@@ -583,41 +574,29 @@ func (s *Session) lowerViaUnits(info *types.Info, depg *depgraph.Graph) (*ir.Pro
 		}
 		dirty[u.QName] = true
 	}
-	fresh := map[string][]byte{}
-	if len(dirty) > 0 && cached > 0 {
-		// Warm rebuild: re-derive only the frontier, callees before
-		// callers so each batch fans out independently.
-		fresh = ir.LowerBatches(info, depg.TopoBatches(dirty), s.cfg.workers)
-		for q, p := range fresh {
-			reuse[q] = p
-		}
-	}
-	prog, lst, err := ir.LowerUnits(info, reuse, s.cfg.workers)
+	prog, lst, err := ir.LowerUnits(info, reuse)
 	if err != nil {
 		return nil, err
 	}
 	s.count(func(st *Stats) {
 		st.UnitReuses += cached
-		st.UnitLowers += len(fresh) + lst.Lowered
+		st.UnitLowers += lst.Lowered
 	})
 	if len(prog.Diags) > 0 {
 		return prog, nil // caller surfaces the diagnostics; publish nothing
 	}
-	var byQ map[string]*ir.Method
+	fresh := make(map[string]*ir.Method, len(dirty))
+	for _, m := range prog.Methods {
+		if q := m.Sig.QualifiedName(); dirty[q] {
+			fresh[q] = m
+		}
+	}
 	for _, u := range depg.Units {
-		if !dirty[u.QName] {
+		m := fresh[u.QName]
+		if m == nil {
 			continue
 		}
-		payload := fresh[u.QName]
-		if payload == nil {
-			if byQ == nil {
-				byQ = make(map[string]*ir.Method, len(prog.Methods))
-				for _, m := range prog.Methods {
-					byQ[m.Sig.QualifiedName()] = m
-				}
-			}
-			payload = ir.EncodeUnit(byQ[u.QName])
-		}
+		payload := ir.EncodeUnit(m)
 		uk := unitStoreKey(u.Key)
 		s.cfg.store.put(uk, payload)
 		s.diskPut("unit", uk, func() ([]byte, error) { return payload, nil })
@@ -660,7 +639,7 @@ func (s *Session) Prog() (*ir.Program, error) {
 			}
 			if p == nil {
 				s.count(func(st *Stats) { st.Lowers++ })
-				p = ir.LowerWorkers(info, s.cfg.workers)
+				p = ir.Lower(info)
 			}
 			if len(p.Diags) > 0 {
 				return nil, false, p.Diags
@@ -821,8 +800,7 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 	return pts, nil
 }
 
-// Graph returns the dependence graph, built in parallel when the
-// session's worker count allows. Truncated graphs are not cached.
+// Graph returns the dependence graph. Truncated graphs are not cached.
 // Incremental sessions rebuild it off the previous build's per-method
 // templates, recomputing only the points-to-derived edges.
 func (s *Session) Graph() (*sdg.Graph, error) {
@@ -874,7 +852,7 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 				return graph, true, nil
 			}
 			s.count(func(st *Stats) { st.SDGs++ })
-			graph, err := sdg.BuildWorkers(prog, pts, s.cfg.budget, s.cfg.workers)
+			graph, err := sdg.BuildBudget(prog, pts, s.cfg.budget)
 			if err != nil {
 				return nil, false, err
 			}
