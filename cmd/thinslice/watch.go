@@ -13,9 +13,9 @@ package main
 // reappears), but new files are not picked up.
 //
 // Each revision prints the updated slices, optional checker findings,
-// and what the derivation graph actually re-derived — the point of the
-// exercise is that a one-line edit re-lowers one method and re-solves
-// deltas, not the world.
+// and what the derivation graph actually re-derived: a one-line edit
+// re-lowers one method, then solves points-to and builds the SDG once
+// over the reassembled program.
 
 import (
 	"context"
@@ -107,9 +107,8 @@ func runWatch(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// Incremental sessions run unbudgeted: the delta paths refuse to
-	// engage under a budget, and an interactive watch wants warm edits
-	// to stay cheap, not truncated.
+	// The session runs unbudgeted: an interactive watch wants every
+	// revision complete, not truncated.
 	sess := session.Open(sources, session.WithIncremental(), session.WithObjSens(!*noObjSens))
 
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
@@ -269,14 +268,8 @@ func incrementalSummary(before, after session.Stats) string {
 	if lowered > 0 || reused > 0 {
 		parts = append(parts, fmt.Sprintf("%d unit(s) lowered, %d reused", lowered, reused))
 	}
-	if n := after.DeltaSolves - before.DeltaSolves; n > 0 {
-		parts = append(parts, "delta solve")
-	}
 	if n := after.PointsTos - before.PointsTos; n > 0 {
 		parts = append(parts, "full solve")
-	}
-	if n := after.DeltaSDGs - before.DeltaSDGs; n > 0 {
-		parts = append(parts, "delta SDG")
 	}
 	if n := after.SDGs - before.SDGs; n > 0 {
 		parts = append(parts, "full SDG")

@@ -7,15 +7,14 @@
 // fingerprints of every class its body references. Deep class
 // fingerprints fold in the superclass chain and every member signature,
 // so a signature edit anywhere invalidates exactly the units whose
-// lowering could see it: comparing unit keys between two checked
-// revisions (Diff) yields the transitively affected frontier directly,
-// with no separate closure pass.
+// lowering could see it: a unit whose key is unchanged between two
+// checked revisions lowers to the same IR, with no separate closure
+// pass over the edit's transitive frontier.
 //
-// The session's derivation graph uses the graph two ways: unit keys
-// address per-method IR artifacts in the shared store, and Diff
-// computes the changed-symbol frontier after an edit. The order in
-// which the frontier is re-lowered does not matter: lowering a method
-// reads nothing but the checked program.
+// The session uses unit keys to address per-method IR artifacts in the
+// shared store: after an edit, exactly the units with new keys miss and
+// are lowered fresh. The order in which they are lowered does not
+// matter: lowering a method reads nothing but the checked program.
 package depgraph
 
 import (
@@ -606,57 +605,6 @@ func hashNode(h *hasher, n ast.Node) {
 	default:
 		panic(fmt.Sprintf("depgraph: unhashable node %T", n))
 	}
-}
-
-// Delta is the unit-level difference between two revisions of a
-// program, computed by Diff. Because unit keys embed deep referenced-
-// class fingerprints, Changed already contains the full transitive
-// frontier of an edit — callers of a signature-changed method appear in
-// it without a separate closure.
-type Delta struct {
-	Changed []string // units present in both revisions with different keys
-	Added   []string // units only in the new revision
-	Removed []string // units only in the old revision
-}
-
-// Empty reports whether the revisions have identical unit sets and keys.
-func (d Delta) Empty() bool {
-	return len(d.Changed) == 0 && len(d.Added) == 0 && len(d.Removed) == 0
-}
-
-// Dirty returns the union of Changed and Added as a set: the units that
-// must be re-derived in the new revision.
-func (d Delta) Dirty() map[string]bool {
-	m := make(map[string]bool, len(d.Changed)+len(d.Added))
-	for _, q := range d.Changed {
-		m[q] = true
-	}
-	for _, q := range d.Added {
-		m[q] = true
-	}
-	return m
-}
-
-// Diff computes the unit delta from old to new. Slices are sorted by
-// qualified name.
-func Diff(old, new *Graph) Delta {
-	var d Delta
-	for _, u := range new.Units {
-		if prev, ok := old.Unit(u.QName); !ok {
-			d.Added = append(d.Added, u.QName)
-		} else if prev.Key != u.Key {
-			d.Changed = append(d.Changed, u.QName)
-		}
-	}
-	for _, u := range old.Units {
-		if _, ok := new.Unit(u.QName); !ok {
-			d.Removed = append(d.Removed, u.QName)
-		}
-	}
-	sort.Strings(d.Changed)
-	sort.Strings(d.Added)
-	sort.Strings(d.Removed)
-	return d
 }
 
 // Fingerprint returns a sha256 digest of the graph's full structure:

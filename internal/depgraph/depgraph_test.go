@@ -98,6 +98,31 @@ func TestUnitsAndRefs(t *testing.T) {
 	}
 }
 
+// changedKeys lists, in old's unit order, the units present in both
+// revisions whose keys differ: the units an edit forces to re-lower.
+func changedKeys(old, new *depgraph.Graph) []string {
+	var out []string
+	for _, u := range old.Units {
+		if nu, ok := new.Unit(u.QName); ok && nu.Key != u.Key {
+			out = append(out, u.QName)
+		}
+	}
+	return out
+}
+
+// sameUnitSet fails unless both revisions declare the same units.
+func sameUnitSet(t *testing.T, old, new *depgraph.Graph) {
+	t.Helper()
+	if len(old.Units) != len(new.Units) {
+		t.Fatalf("unit count changed: %d -> %d", len(old.Units), len(new.Units))
+	}
+	for _, u := range old.Units {
+		if _, ok := new.Unit(u.QName); !ok {
+			t.Fatalf("unit %s missing from the new revision", u.QName)
+		}
+	}
+}
+
 func TestDiffBodyEditIsLocal(t *testing.T) {
 	old := build(t, map[string]string{"a.tj": progA})
 	// Change only twice's body, preserving all positions outside it.
@@ -106,9 +131,9 @@ func TestDiffBodyEditIsLocal(t *testing.T) {
 		t.Fatal("edit did not apply")
 	}
 	new := build(t, map[string]string{"a.tj": edited})
-	d := depgraph.Diff(old, new)
-	if !reflect.DeepEqual(d.Changed, []string{"Util.twice"}) || len(d.Added) != 0 || len(d.Removed) != 0 {
-		t.Fatalf("body edit delta = %+v, want exactly Changed=[Util.twice]", d)
+	sameUnitSet(t, old, new)
+	if got := changedKeys(old, new); !reflect.DeepEqual(got, []string{"Util.twice"}) {
+		t.Fatalf("body edit changed the keys of %v, want exactly [Util.twice]", got)
 	}
 }
 
@@ -121,20 +146,26 @@ func TestDiffSignatureEditInvalidatesReferencers(t *testing.T) {
 	// Keep source length drift from shifting later lines: the two edits
 	// are on separate lines, so only those lines' columns shift.
 	new := build(t, map[string]string{"a.tj": edited})
-	d := depgraph.Diff(old, new)
-	if !reflect.DeepEqual(d.Added, []string{"Util.twicex"}) || !reflect.DeepEqual(d.Removed, []string{"Util.twice"}) {
-		t.Fatalf("rename delta = %+v, want Added=[Util.twicex] Removed=[Util.twice]", d)
+	if _, ok := new.Unit("Util.twicex"); !ok {
+		t.Fatal("renamed unit Util.twicex missing from the new revision")
+	}
+	if _, ok := new.Unit("Util.twice"); ok {
+		t.Fatal("old unit Util.twice survived the rename")
+	}
+	if _, ok := old.Unit("Util.twicex"); ok {
+		t.Fatal("Util.twicex present before the rename")
 	}
 	// Every unit whose key depends on class Util must change: the deep
 	// class fingerprint shifted. Util.thrice calls it; Main.main
 	// references Util.
-	changed := map[string]bool{}
-	for _, q := range d.Changed {
-		changed[q] = true
-	}
 	for _, q := range []string{"Util.thrice", "Main.main", "Util.<init>"} {
-		if !changed[q] {
-			t.Errorf("signature change should invalidate %s; delta %+v", q, d)
+		ou, _ := old.Unit(q)
+		nu, ok := new.Unit(q)
+		if !ok {
+			t.Fatalf("unit %s missing from the new revision", q)
+		}
+		if ou.Key == nu.Key {
+			t.Errorf("signature change should invalidate %s; key unchanged", q)
 		}
 	}
 }
@@ -152,9 +183,9 @@ func TestDiffAcrossFiles(t *testing.T) {
 	}
 	edited["util.tj"] = strings.Replace(multi["util.tj"], "x + x", "x * 2", 1)
 	new := build(t, edited)
-	d := depgraph.Diff(old, new)
-	if !reflect.DeepEqual(d.Changed, []string{"Util.twice"}) {
-		t.Fatalf("cross-file body edit delta = %+v, want Changed=[Util.twice] only", d)
+	sameUnitSet(t, old, new)
+	if got := changedKeys(old, new); !reflect.DeepEqual(got, []string{"Util.twice"}) {
+		t.Fatalf("cross-file body edit changed the keys of %v, want [Util.twice] only", got)
 	}
 	if _, ok := new.Unit("Far.solo"); !ok {
 		t.Fatal("Far.solo missing")

@@ -264,7 +264,7 @@ func (g *Graph) CallerNodes(mc *pointsto.MCtx) []Node { return g.callerNodes[mc]
 // Fingerprint returns a sha256 digest of the graph's full structure —
 // every node's ordered dependence list, the per-context caller-node
 // lists, and the edge count. Two builds of the same program (metered
-// single-pass or two-pass, cold or delta) must produce identical
+// single-pass or two-pass, fresh or decoded) must produce identical
 // fingerprints; the equivalence tests pin exactly that.
 func (g *Graph) Fingerprint() string {
 	h := sha256.New()
@@ -610,9 +610,7 @@ func (g *Graph) emitHeapAndControl(h *heapIndex, cdgCache map[*ir.Method]*cdg.Gr
 }
 
 // emitHeap runs the points-to-derived phases — heap pairing, array
-// lengths, statics — over an already-built heap index. BuildDelta
-// shares it: these edges are re-derived from the new points-to result
-// on every incremental rebuild.
+// lengths, statics — over an already-built heap index.
 func (g *Graph) emitHeap(h *heapIndex, tick func() bool, add func(to Node, d Dep)) {
 	// Heap edges: store→load when the base points-to sets (in the
 	// respective contexts) intersect. Map iteration order varies run to

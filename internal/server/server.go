@@ -562,12 +562,20 @@ func runGuarded(run runFunc, sess *session.Session, req *Request) (resp *Respons
 // decode parses and validates the request body. A non-nil *Response is
 // the bad-request answer.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request) (*Request, *Response) {
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	var req Request
-	dec := json.NewDecoder(body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
 	dec.DisallowUnknownFields()
+	return decodeRequest(dec, "request body")
+}
+
+// decodeRequest reads one Request from dec and validates it: the shared
+// checks of every endpoint's body and of the /watch init message. dec
+// must already reject unknown fields and bound its input; what names
+// the message in the error. A non-nil *Response is the bad-request
+// answer.
+func decodeRequest(dec *json.Decoder, what string) (*Request, *Response) {
+	var req Request
 	if err := dec.Decode(&req); err != nil {
-		return nil, &Response{Status: "error", Kind: "bad_request", Error: "malformed request body: " + err.Error()}
+		return nil, &Response{Status: "error", Kind: "bad_request", Error: "malformed " + what + ": " + err.Error()}
 	}
 	if len(req.Sources) == 0 {
 		return nil, &Response{Status: "error", Kind: "bad_request", Error: "sources is required"}

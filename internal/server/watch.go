@@ -21,16 +21,19 @@ import (
 // alive for the connection and answers every revision — the initial
 // one and each edit — with one WatchEvent line carrying the updated
 // slices, checker findings, and the incremental counters showing how
-// little was re-derived. Program errors in an intermediate revision
-// (a half-typed edit that no longer parses) are reported as
+// many units were re-lowered (points-to and the dependence graph are
+// rebuilt once per changed revision). Program errors in an intermediate
+// revision (a half-typed edit that no longer parses) are reported as
 // revision-scoped error events and the stream continues; only a
-// malformed stream, a drained server, or a closed connection ends it.
+// malformed or oversized message, a drained server, or a closed
+// connection ends it.
 //
-// Watch sessions run unbudgeted: the incremental delta paths refuse to
-// engage under a budget (a truncated delta would poison every later
-// one), and an editor-driven stream is interactive by nature. The
-// per-revision work is still admitted through the worker pool, so a
-// watch stream cannot starve request traffic between edits.
+// The init message passes the same checks as a /slice body (unknown
+// fields, mode, sources), and every message is bounded by
+// MaxRequestBytes. Watch sessions run unbudgeted: an editor-driven
+// stream is interactive by nature. The per-revision work is still
+// admitted through the worker pool, so a watch stream cannot starve
+// request traffic between edits.
 
 // WatchEdit is one edit message on a /watch stream. Any combination of
 // fields may be set; an empty edit just re-queries the current
@@ -47,12 +50,10 @@ type WatchEdit struct {
 // WatchIncremental reports what one revision actually re-derived —
 // the observable form of the session's derivation graph at work.
 type WatchIncremental struct {
-	UnitLowers  int `json:"unit_lowers"`  // per-method units lowered fresh
-	UnitReuses  int `json:"unit_reuses"`  // units cloned from the store
-	DeltaSolves int `json:"delta_solves"` // incremental points-to re-solves
-	FullSolves  int `json:"full_solves"`  // full pointer analyses
-	DeltaSDGs   int `json:"delta_sdgs"`   // incremental SDG rebuilds
-	FullSDGs    int `json:"full_sdgs"`    // full SDG builds
+	UnitLowers int `json:"unit_lowers"` // per-method units lowered fresh
+	UnitReuses int `json:"unit_reuses"` // units cloned from the store
+	FullSolves int `json:"full_solves"` // pointer analyses
+	FullSDGs   int `json:"full_sdgs"`   // SDG builds
 }
 
 // WatchEvent is one revision's answer on a /watch stream. Between
@@ -105,24 +106,19 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 	defer watchStreams.Add(-1)
 
-	// The stream is read incrementally for the connection's lifetime, so
-	// the request-wide byte bound does not apply; each message is bounded
-	// by the decoder's own buffer growth on one JSON value.
-	dec := json.NewDecoder(r.Body)
-	var init Request
-	if err := dec.Decode(&init); err != nil {
-		s.write(w, http.StatusBadRequest, &Response{
-			Status: "error", Kind: "bad_request", Error: "malformed init message: " + err.Error(),
-		})
+	// The stream is read for the connection's lifetime, so the
+	// request-wide byte bound cannot apply; body bounds each message by
+	// it instead.
+	body := &messageReader{r: r.Body, max: s.cfg.MaxRequestBytes}
+	dec := json.NewDecoder(body)
+	dec.DisallowUnknownFields()
+	body.next(dec)
+	init, errResp := decodeRequest(dec, "init message")
+	if errResp != nil {
+		s.write(w, http.StatusBadRequest, errResp)
 		return
 	}
-	if len(init.Sources) == 0 {
-		s.write(w, http.StatusBadRequest, &Response{
-			Status: "error", Kind: "bad_request", Error: "sources is required",
-		})
-		return
-	}
-	seeds, err := parseWatchSeeds(&init)
+	seeds, err := parseWatchSeeds(init)
 	if err != nil {
 		s.write(w, http.StatusBadRequest, &Response{
 			Status: "error", Kind: "bad_request", Error: err.Error(),
@@ -165,7 +161,7 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 	}
 
 	rev := 0
-	if !emit(s.watchRevision(r, sess, &init, seeds, rev)) {
+	if !emit(s.watchRevision(r, sess, init, seeds, rev)) {
 		return
 	}
 
@@ -184,6 +180,7 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		for {
 			var m editMsg
+			body.next(dec)
 			m.err = dec.Decode(&m.edit)
 			select {
 			case edits <- m:
@@ -239,7 +236,7 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 			if len(edit.Seeds) > 0 {
 				init.Seeds = edit.Seeds
 				init.Seed = ""
-				if seeds, err = parseWatchSeeds(&init); err != nil {
+				if seeds, err = parseWatchSeeds(init); err != nil {
 					rev++
 					if !emit(&WatchEvent{Rev: rev, Status: "error", Kind: "bad_request", Error: err.Error()}) {
 						return
@@ -248,7 +245,7 @@ func (s *Server) watchHandler(w http.ResponseWriter, r *http.Request) {
 				}
 			}
 			rev++
-			if !emit(s.watchRevision(r, sess, &init, seeds, rev)) {
+			if !emit(s.watchRevision(r, sess, init, seeds, rev)) {
 				return
 			}
 			if s.draining.Load() {
@@ -290,12 +287,10 @@ func (s *Server) watchRevision(r *http.Request, sess *session.Session, init *Req
 		ev.Findings = resp.Findings
 	}
 	ev.Incremental = &WatchIncremental{
-		UnitLowers:  after.UnitLowers - before.UnitLowers,
-		UnitReuses:  after.UnitReuses - before.UnitReuses,
-		DeltaSolves: after.DeltaSolves - before.DeltaSolves,
-		FullSolves:  after.PointsTos - before.PointsTos,
-		DeltaSDGs:   after.DeltaSDGs - before.DeltaSDGs,
-		FullSDGs:    after.SDGs - before.SDGs,
+		UnitLowers: after.UnitLowers - before.UnitLowers,
+		UnitReuses: after.UnitReuses - before.UnitReuses,
+		FullSolves: after.PointsTos - before.PointsTos,
+		FullSDGs:   after.SDGs - before.SDGs,
 	}
 	ev.ElapsedMS = time.Since(start).Milliseconds()
 	return ev
@@ -360,4 +355,34 @@ func parseWatchSeeds(req *Request) ([]session.Seed, error) {
 		return nil, fmt.Errorf("watch needs at least one seed or a checks selection")
 	}
 	return seeds, nil
+}
+
+// messageReader bounds each JSON message of a stream to max bytes. Read
+// refuses to hand the decoder bytes past limit, and next moves limit to
+// max bytes beyond the decoder's position before each message. The
+// decoder reads past its position only while the value it is decoding
+// is incomplete, so a message of at most max bytes always decodes (read-
+// ahead of an earlier message stays below the new limit) and a larger
+// one fails with a message-too-large error instead of being buffered.
+type messageReader struct {
+	r     io.Reader
+	max   int64
+	read  int64 // bytes handed to the decoder so far
+	limit int64 // stream offset past which Read fails
+}
+
+// next opens the byte allowance of the message dec decodes next.
+func (m *messageReader) next(dec *json.Decoder) { m.limit = dec.InputOffset() + m.max }
+
+func (m *messageReader) Read(p []byte) (int, error) {
+	room := m.limit - m.read
+	if room <= 0 {
+		return 0, fmt.Errorf("message exceeds the %d-byte limit", m.max)
+	}
+	if int64(len(p)) > room {
+		p = p[:room]
+	}
+	n, err := m.r.Read(p)
+	m.read += int64(n)
+	return n, err
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -128,9 +129,9 @@ func (c *watchClient) next() WatchEvent {
 
 // TestWatchStreamIncrementalEdits is the end-to-end watch gate: a
 // stream over a multi-file program answers the initial revision with a
-// full build, answers a single-method edit with a delta build (one
-// unit re-lowered, SolveDelta and BuildDelta instead of full solves),
-// survives a revision that does not parse, and recovers on the fix.
+// full build, answers a single-method edit by re-lowering one unit and
+// rebuilding points-to and the SDG once each, survives a revision that
+// does not parse, and recovers on the fix.
 func TestWatchStreamIncrementalEdits(t *testing.T) {
 	srv, err := New(Config{Workers: 2})
 	if err != nil {
@@ -156,11 +157,11 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if len(cold.Slices) != 1 || cold.Slices[0].Statements == 0 {
 		t.Fatalf("cold revision produced no slice: %+v", cold.Slices)
 	}
-	if inc := cold.Incremental; inc == nil || inc.FullSolves != 1 || inc.DeltaSolves != 0 || inc.UnitReuses != 0 {
+	if inc := cold.Incremental; inc == nil || inc.FullSolves != 1 || inc.FullSDGs != 1 || inc.UnitReuses != 0 {
 		t.Fatalf("cold revision counters: %+v", cold.Incremental)
 	}
 
-	// One-line body edit: the warm revision must be a pure delta.
+	// One-line body edit: one unit re-lowered, the rest reused.
 	c.send(WatchEdit{Update: map[string]string{"alpha.mj": watchAlphaEdited}})
 	warm := c.next()
 	if warm.Rev != 1 || warm.Status != "ok" {
@@ -176,11 +177,8 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if inc.UnitLowers != 1 || inc.UnitReuses == 0 {
 		t.Errorf("warm revision re-lowered %d units (reused %d), want exactly 1 fresh", inc.UnitLowers, inc.UnitReuses)
 	}
-	if inc.DeltaSolves != 1 || inc.FullSolves != 0 {
-		t.Errorf("warm revision solves: %+v, want one delta and no full solve", inc)
-	}
-	if inc.DeltaSDGs != 1 || inc.FullSDGs != 0 {
-		t.Errorf("warm revision SDG builds: %+v, want one delta and no full build", inc)
+	if inc.FullSolves != 1 || inc.FullSDGs != 1 {
+		t.Errorf("warm revision builds: %+v, want one points-to solve and one SDG build", inc)
 	}
 
 	// A half-typed revision: the stream reports the program error and
@@ -198,16 +196,17 @@ func TestWatchStreamIncrementalEdits(t *testing.T) {
 	if fixed.Rev != 3 || fixed.Status != "ok" || len(fixed.Slices) != 1 {
 		t.Fatalf("fixed revision: %+v", fixed)
 	}
-	if fi := fixed.Incremental; fi.UnitLowers != 0 || fi.FullSolves != 0 || fi.DeltaSolves != 0 {
+	if fi := fixed.Incremental; fi.UnitLowers != 0 || fi.FullSolves != 0 || fi.FullSDGs != 0 {
 		t.Errorf("fixed revision re-derived artifacts despite identical content: %+v", fi)
 	}
 }
 
 // TestWatchRejectsBadInit pins the non-stream error paths: bad method,
-// malformed init, and missing sources all answer with the typed JSON
+// malformed init, missing sources, an init over the byte limit, an
+// unknown mode and an unknown field all answer with the typed JSON
 // error shape, not a stream.
 func TestWatchRejectsBadInit(t *testing.T) {
-	srv, err := New(Config{Workers: 1})
+	srv, err := New(Config{Workers: 1, MaxRequestBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,6 +226,9 @@ func TestWatchRejectsBadInit(t *testing.T) {
 		"malformed":  "{not json",
 		"no sources": `{"seed":"a.mj:1"}`,
 		"no seed":    `{"sources":{"a.mj":"class A {}"}}`,
+		"oversized":  `{"sources":{"a.mj":"class A {}` + strings.Repeat(" ", 2<<10) + `"},"seed":"a.mj:1"}`,
+		"bad mode":   `{"sources":{"a.mj":"class A {}"},"seed":"a.mj:1","mode":"tradtional"}`,
+		"unknown":    `{"sources":{"a.mj":"class A {}"},"seed":"a.mj:1","sede":"a.mj:1"}`,
 	} {
 		resp, err := http.Post(ts.URL+"/watch", "application/json", strings.NewReader(body))
 		if err != nil {
@@ -240,6 +242,42 @@ func TestWatchRejectsBadInit(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest || r.Kind != "bad_request" {
 			t.Fatalf("%s: got status %d kind %q", name, resp.StatusCode, r.Kind)
 		}
+	}
+}
+
+// TestWatchOversizedEditEndsStream sends an edit larger than the
+// request byte limit mid-stream: the server answers with a typed
+// bad_request event instead of buffering it, ends the stream, and frees
+// the stream slot.
+func TestWatchOversizedEditEndsStream(t *testing.T) {
+	cfg := testConfig()
+	cfg.MaxRequestBytes = 4 << 10
+	srv := mustNew(t, cfg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+
+	before := watchStreams.Load()
+	c := dialWatch(t, ts.URL, Request{
+		Sources: map[string]string{"alpha.mj": watchAlpha, "main.mj": watchMain},
+		Seeds:   []string{"main.mj:6"},
+	})
+	if ev := c.next(); ev.Rev != 0 || ev.Status != "ok" {
+		t.Fatalf("rev 0: %+v", ev)
+	}
+	c.send(WatchEdit{Update: map[string]string{"alpha.mj": watchAlphaEdited + "//" + strings.Repeat("x", 8<<10)}})
+	ev := c.next()
+	if ev.Rev != 1 || ev.Status != "error" || ev.Kind != "bad_request" || !strings.Contains(ev.Error, "limit") {
+		t.Fatalf("oversized edit: %+v, want a typed bad_request event naming the limit", ev)
+	}
+	for c.events.Scan() {
+		t.Fatalf("unexpected event after the oversized edit: %s", c.events.Text())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for watchStreams.Load() != before {
+		if time.Now().After(deadline) {
+			t.Fatalf("stream slot never released: %d held", watchStreams.Load()-before)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -370,5 +408,41 @@ func TestWatchHeartbeatDetectsDeadClient(t *testing.T) {
 			t.Fatalf("dead client still pins a stream slot after 10s")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestMessageReaderBoundsEachMessage pins the per-message byte bound:
+// every message of a stream decodes when it fits the limit, however
+// much of it the decoder read ahead with the previous one, and the
+// first message one byte over the limit fails.
+func TestMessageReaderBoundsEachMessage(t *testing.T) {
+	var stream strings.Builder
+	var sizes []int64
+	for _, n := range []int{300, 10, 700, 5, 700} {
+		msg := fmt.Sprintf(`{"remove":[%q]}`+"\n", strings.Repeat("x", n))
+		stream.WriteString(msg)
+		sizes = append(sizes, int64(len(msg)))
+	}
+	largest := sizes[2]
+	decodeAll := func(max int64) (decoded int, err error) {
+		body := &messageReader{r: strings.NewReader(stream.String()), max: max}
+		dec := json.NewDecoder(body)
+		dec.DisallowUnknownFields()
+		for {
+			var e WatchEdit
+			body.next(dec)
+			if err := dec.Decode(&e); err != nil {
+				return decoded, err
+			}
+			decoded++
+		}
+	}
+	// Each message's allowance starts at the end of the previous value,
+	// so it covers that value's trailing newline plus its own bytes.
+	if n, err := decodeAll(largest); n != len(sizes) || !errors.Is(err, io.EOF) {
+		t.Fatalf("limit %d: decoded %d of %d messages, err %v", largest, n, len(sizes), err)
+	}
+	if n, err := decodeAll(largest - 1); n != 2 || err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("limit %d: decoded %d messages, err %v; want the 3rd message rejected", largest-1, n, err)
 	}
 }

@@ -16,9 +16,9 @@ import (
 // modify-, and delete-method edits over multi-file programs (synthetic,
 // papercases, and randprog bases), each step asserting the incremental
 // session's points-to result and dependence graph byte-identical to a
-// from-scratch build. This is the session-level closure of the
-// per-layer equivalence proofs (pointsto.SolveDelta, sdg.BuildDelta):
-// whatever frontier the depgraph computes, the pipeline must not drift.
+// from-scratch build. The incremental session assembles its IR from
+// per-method units keyed by the depgraph: whatever units an edit's keys
+// invalidate or keep, the pipeline built on that IR must not drift.
 
 // sweepMethod is one generated (and editable) method of a sweep class.
 type sweepMethod struct {

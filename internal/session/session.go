@@ -52,10 +52,10 @@ type Stats struct {
 	Depgraphs     int // symbol dependency graph builds
 	UnitLowers    int // per-method lowering units derived fresh
 	UnitReuses    int // per-method lowering units reused from the store
-	PointsTos     int // full pointer analyses
-	DeltaSolves   int // incremental pointer re-solves (pointsto.SolveDelta)
-	SDGs          int // full dependence graph builds
-	DeltaSDGs     int // incremental dependence graph rebuilds (sdg.BuildDelta)
+	PointsTos     int // pointer analyses
+	DeltaSolves   int // always 0: kept for the /statsz schema; pointer analyses are never re-derived by delta
+	SDGs          int // dependence graph builds
+	DeltaSDGs     int // always 0: kept for the /statsz schema; dependence graphs are never re-derived by delta
 	CHAs          int // class-hierarchy call graph builds
 	ModRefs       int // mod-ref computations
 	CSGraphs      int // context-sensitive SDG builds
@@ -105,18 +105,14 @@ func WithBudget(b *budget.Budget) Option { return func(c *config) { c.budget = b
 // them with every other session using that store.
 func InStore(st *Store) Option { return func(c *config) { c.store = st } }
 
-// WithIncremental turns on the session's keyed derivation graph: the
-// IR artifact is assembled from per-method lowering units addressed by
-// depgraph unit keys (so an edit re-lowers only its transitively
-// affected frontier), and the pointer analysis and dependence graph
-// retain enough state after each complete build to re-derive the next
-// revision incrementally (pointsto.SolveDelta, sdg.BuildDelta) — both
-// proven byte-identical to from-scratch builds. Retention costs memory
-// proportional to the last build, so it is opt-in; thinslice watch and
-// the server's /watch stream open their sessions with it. Incremental
-// re-derivation engages only for unbudgeted sessions (a truncated delta
-// would poison every later one); budgeted sessions fall back to full
-// builds.
+// WithIncremental assembles the session's IR artifact from per-method
+// lowering units addressed by depgraph unit keys, so an edit re-lowers
+// only the units whose keys changed; the assembled program is
+// byte-identical to ir.Lower. It changes nothing else: the pointer
+// analysis and dependence graph of each revision are built cold over
+// that program (a cold build beat re-deriving them from the previous
+// revision at every measured scale). thinslice watch and the server's
+// /watch stream open their sessions with it.
 func WithIncremental() Option { return func(c *config) { c.incremental = true } }
 
 // WithDiskCache layers a persistent disk tier under the in-memory
@@ -159,48 +155,6 @@ type Session struct {
 		srcs  map[string]string
 		key   Key
 	}
-	// last is the retained state of the most recent complete build of an
-	// incremental session; nil otherwise. Guarded by mu; the artifacts it
-	// points at are immutable.
-	last *retained
-}
-
-// retained is what an incremental session keeps from its last complete
-// build to derive the next revision by delta. The points-to triplet
-// (depg, prog, pts) is updated atomically — SolveDelta maps the
-// retained solver state through a ProgramMap between exactly these two
-// programs. The SDG templates are base-relative and program-independent,
-// so they carry their own revision marker (sdgDepg) and may lag the
-// points-to state when Graph() is queried less often than PointsTo().
-type retained struct {
-	srcKey  Key
-	depg    *depgraph.Graph
-	prog    *ir.Program
-	pts     *pointsto.Result
-	sdgSt   *sdg.BuildState
-	sdgDepg *depgraph.Graph
-}
-
-// retainedState returns a copy of the retained-state record (zero value
-// when nothing is retained).
-func (s *Session) retainedState() retained {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.last == nil {
-		return retained{}
-	}
-	return *s.last
-}
-
-// updateRetained applies f to the retained-state record, creating it on
-// first use.
-func (s *Session) updateRetained(f func(*retained)) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.last == nil {
-		s.last = &retained{}
-	}
-	f(s.last)
 }
 
 // Open starts a session over the given sources (name → content). The
@@ -507,10 +461,8 @@ func (s *Session) parseFile(name, src string) ([]*ast.ClassDecl, error) {
 // Depgraph returns the cross-file symbol dependency graph of the
 // current source set: one unit per lowering job, keyed by a content
 // hash covering the unit's declaration and the deep fingerprints of
-// every class its lowering can observe. The incremental pipeline hangs
-// off it two ways — unit keys address per-method IR payloads in the
-// store, and Diff against the previous revision's graph yields the
-// changed-symbol frontier.
+// every class its lowering can observe. Incremental sessions address
+// per-method IR payloads in the store by these unit keys.
 func (s *Session) Depgraph() (*depgraph.Graph, error) {
 	info, err := s.Info()
 	if err != nil {
@@ -678,76 +630,12 @@ func (s *Session) ptsConfigKey(srcKey Key) Key {
 		strings.Join(s.cfg.entries, "\x00"))
 }
 
-// deltaCapable reports whether this session may use the incremental
-// re-derivation paths: opted in, and unbudgeted (a budgeted delta could
-// truncate, and a truncated artifact must never seed the next delta).
-func (s *Session) deltaCapable() bool {
-	return s.cfg.incremental && s.cfg.budget == nil
-}
-
-// ptsConfig is the pointer-analysis configuration of this session over
-// the given resolved entries. Incremental sessions retain solver state
-// so the next revision can re-seed the difference-propagation worklist
-// instead of re-solving.
-func (s *Session) ptsConfig(entries []*ir.Method) pointsto.Config {
-	return pointsto.Config{
-		Entries:           entries,
-		ObjSensContainers: s.cfg.objSens,
-		ContainerClasses:  s.cfg.containers,
-		Budget:            s.cfg.budget,
-		RetainState:       s.deltaCapable(),
-	}
-}
-
-// trySolveDelta attempts the incremental pointer re-solve against the
-// session's retained state. Any structural obstacle — no retained
-// state, an unmappable program pair, or a SolveDelta safety-net error —
-// reports false and the caller runs the full analysis.
-func (s *Session) trySolveDelta(prog *ir.Program, depg *depgraph.Graph, entries []*ir.Method) (*pointsto.Result, bool) {
-	last := s.retainedState()
-	if last.pts == nil || last.prog == nil || last.depg == nil {
-		return nil, false
-	}
-	d := depgraph.Diff(last.depg, depg)
-	removed := append(append([]string(nil), d.Changed...), d.Removed...)
-	added := append(append([]string(nil), d.Changed...), d.Added...)
-	gone := make(map[string]bool, len(removed))
-	for _, q := range removed {
-		gone[q] = true
-	}
-	var unchanged []string
-	for _, m := range last.prog.Methods {
-		if q := m.Sig.QualifiedName(); !gone[q] {
-			unchanged = append(unchanged, q)
-		}
-	}
-	pm, err := ir.MapPrograms(last.prog, prog, unchanged)
-	if err != nil {
-		return nil, false
-	}
-	res, _, err := pointsto.SolveDelta(last.pts, prog, pm, removed, added, s.ptsConfig(entries))
-	if err != nil {
-		return nil, false
-	}
-	s.count(func(st *Stats) { st.DeltaSolves++ })
-	return res, true
-}
-
 // PointsTo returns the pointer-analysis result. Truncated or
 // downgraded results (budget exhaustion) are returned but not cached.
-// Incremental sessions re-derive the result from the previous build's
-// retained solver state when the edit frontier allows, falling back to
-// the full analysis on any delta error.
 func (s *Session) PointsTo() (*pointsto.Result, error) {
 	prog, err := s.Prog()
 	if err != nil {
 		return nil, err
-	}
-	var depg *depgraph.Graph
-	if s.cfg.incremental {
-		if depg, err = s.Depgraph(); err != nil {
-			return nil, err
-		}
 	}
 	var pts *pointsto.Result
 	err = s.phase(budget.PhasePointsTo, func() error {
@@ -765,25 +653,18 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 					s.diskQuarantine("pts", key, derr)
 				}
 			}
-			var res *pointsto.Result
-			if s.deltaCapable() && depg != nil {
-				res, _ = s.trySolveDelta(prog, depg, entries)
-			}
-			if res == nil {
-				s.count(func(st *Stats) { st.PointsTos++ })
-				var aerr error
-				res, aerr = pointsto.Analyze(prog, s.ptsConfig(entries))
-				if aerr != nil {
-					return nil, false, aerr
-				}
+			s.count(func(st *Stats) { st.PointsTos++ })
+			res, aerr := pointsto.Analyze(prog, pointsto.Config{
+				Entries:           entries,
+				ObjSensContainers: s.cfg.objSens,
+				ContainerClasses:  s.cfg.containers,
+				Budget:            s.cfg.budget,
+			})
+			if aerr != nil {
+				return nil, false, aerr
 			}
 			cacheable := !res.Truncated && !res.Downgraded
 			if cacheable {
-				if s.deltaCapable() && depg != nil {
-					s.updateRetained(func(r *retained) {
-						r.srcKey, r.depg, r.prog, r.pts = srcKey, depg, prog, res
-					})
-				}
 				s.diskPut("pts", key, func() ([]byte, error) { return pointsto.EncodeResult(res) })
 			}
 			return res, cacheable, nil
@@ -801,8 +682,6 @@ func (s *Session) PointsTo() (*pointsto.Result, error) {
 }
 
 // Graph returns the dependence graph. Truncated graphs are not cached.
-// Incremental sessions rebuild it off the previous build's per-method
-// templates, recomputing only the points-to-derived edges.
 func (s *Session) Graph() (*sdg.Graph, error) {
 	pts, err := s.PointsTo()
 	if err != nil {
@@ -811,12 +690,6 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 	prog, err := s.Prog()
 	if err != nil {
 		return nil, err
-	}
-	var depg *depgraph.Graph
-	if s.cfg.incremental {
-		if depg, err = s.Depgraph(); err != nil {
-			return nil, err
-		}
 	}
 	var g *sdg.Graph
 	err = s.phase(budget.PhaseSDG, func() error {
@@ -829,27 +702,6 @@ func (s *Session) Graph() (*sdg.Graph, error) {
 				} else {
 					s.diskQuarantine("sdg", key, derr)
 				}
-			}
-			if s.deltaCapable() && depg != nil && !pts.Truncated && !pts.Downgraded {
-				last := s.retainedState()
-				var prevSt *sdg.BuildState
-				var changed []string
-				if last.sdgSt != nil && last.sdgDepg != nil {
-					d := depgraph.Diff(last.sdgDepg, depg)
-					changed = append(append([]string(nil), d.Changed...), d.Added...)
-					prevSt = last.sdgSt
-				}
-				graph, st, _ := sdg.BuildDelta(prog, pts, prevSt, changed)
-				s.count(func(stt *Stats) {
-					if prevSt != nil {
-						stt.DeltaSDGs++
-					} else {
-						stt.SDGs++
-					}
-				})
-				s.updateRetained(func(r *retained) { r.sdgSt, r.sdgDepg = st, depg })
-				s.diskPut("sdg", key, func() ([]byte, error) { return sdg.EncodeGraph(graph) })
-				return graph, true, nil
 			}
 			s.count(func(st *Stats) { st.SDGs++ })
 			graph, err := sdg.BuildBudget(prog, pts, s.cfg.budget)

@@ -44,18 +44,15 @@ func (f Finding) String() string {
 }
 
 // seedFunc reports whether name is a determinism-critical entry point.
-// Besides the codec/printer family, the incremental entry points are
-// seeds: their outputs are contractually byte-identical to the full
-// builds they replace or feed (depgraph unit keys and diffs, the
-// per-method lowering whose output unit payloads cache, delta
-// points-to solves, delta SDG splicing), so a map-order dependence
-// anywhere beneath them breaks the equivalence oracle, not just a log
+// Besides the codec/printer family (which covers the per-method unit
+// payloads of EncodeUnit), the whole-program lowering is a seed: unit
+// payloads cached from one revision are reassembled into the next and
+// must stay byte-identical to a fresh Lower, so a map-order dependence
+// anywhere beneath it breaks the equivalence oracle, not just a log
 // line.
 func seedFunc(name string) bool {
 	return name == "Fingerprint" || name == "Sprint" || name == "Fprint" ||
-		strings.HasPrefix(name, "Encode") ||
-		name == "Diff" || name == "Lower" ||
-		name == "SolveDelta" || name == "BuildDelta"
+		strings.HasPrefix(name, "Encode") || name == "Lower"
 }
 
 // checker loads and type-checks every package of one module from
